@@ -4,8 +4,8 @@
 Timing cells vary run to run and host to host, so a byte diff is
 useless -- what must *not* drift silently is the experiment's
 **structure**: its title, its table header (the measured columns), and
-its row identities (the workload each row pins: ``|S|``, backend, shard
-count, ...).  A benchmark change that adds/renames/retypes rows or
+its row identities (the workload each row pins: ``|S|``, backend,
+worker count, ...).  A benchmark change that adds/renames/retypes rows or
 columns has to land together with the regenerated committed file; this
 checker makes CI enforce that, where previously regenerated rows were
 printed and never compared.

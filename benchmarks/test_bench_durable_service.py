@@ -26,7 +26,7 @@ import tempfile
 import time
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import ReproService, StreamSession
+from repro.engine import EngineConfig, ReproService, StreamSession
 
 from _harness import format_table, report
 
@@ -52,10 +52,15 @@ def _workload():
     return ground, cset, transactions
 
 
+def _durable(data_dir):
+    """The incremental tier on exact tables, logged to ``data_dir``."""
+    return EngineConfig(engine="incremental", backend="exact", durable=data_dir)
+
+
 def _session_kwargs(ground, cset, variant, data_dir):
     kwargs = dict(constraints=cset.constraints)
     if variant != "off":
-        kwargs.update(durable=data_dir, fsync=variant)
+        kwargs.update(config=_durable(data_dir), fsync=variant)
     return kwargs
 
 
@@ -183,8 +188,8 @@ class TestDurableService:
         data_dir = tempfile.mkdtemp(prefix="e18-")
         try:
             session = StreamSession(
-                ground, constraints=cset.constraints, durable=data_dir,
-                fsync="never",
+                ground, constraints=cset.constraints,
+                config=_durable(data_dir), fsync="never",
             )
             for deltas in transactions:
                 session.apply(deltas)
@@ -195,7 +200,8 @@ class TestDurableService:
             )
             session.close()
             recovered = StreamSession(
-                ground, constraints=cset.constraints, durable=data_dir
+                ground, constraints=cset.constraints,
+                config=_durable(data_dir),
             )
             assert (
                 list(recovered.context.density_table()),

@@ -2,12 +2,12 @@
 
 Three workload shapes mirror the engine benchmarks: E5's implication
 queries (one constraint set, many ``decide`` calls), E16's streaming
-transactions (delta-maintained constraint monitoring), and E17's
-scale-out evaluation loop (delta bursts followed by verdict + support
-probes over a loaded instance).  For each shape, every hand-tunable
-configuration a user could pin is timed, then ``engine=auto`` (the
-planner's choice for the measured workload on this host) is timed the
-same way.
+transactions (delta-maintained constraint monitoring), and a loaded
+evaluation loop (the ``E17-scaleout`` shape: delta bursts followed by
+verdict + support probes over a seeded instance).  For each shape,
+every hand-tunable configuration a user could pin is timed, then
+``engine=auto`` (the planner's choice for the measured workload on
+this host) is timed the same way.
 
 Acceptance (asserted):
 
@@ -225,7 +225,7 @@ class TestPlannerAuto:
             ),
         )
 
-        # --- E17 shape: delta bursts + verdict/probe reads ------------
+        # --- loaded shape: delta bursts + verdict/probe reads ---------
         c_ground = GroundSet([f"x{i}" for i in range(N_SCALE)])
         rng = random.Random(1701)
         c_constraints = [
@@ -242,9 +242,6 @@ class TestPlannerAuto:
             "incremental": EngineConfig(
                 engine="incremental", backend="float"
             ),
-            "sharded-K2": EngineConfig(
-                engine="sharded", backend="float", shards=2, workers=1
-            ),
         }
         e17 = {
             label: _time_scale(
@@ -254,8 +251,7 @@ class TestPlannerAuto:
         }
         best_scale = max(e17, key=e17.get)
         # the planner's decision for this shape's descriptor is
-        # host-independent: the seed density sits below the fan-out bar,
-        # so auto stays incremental on every host
+        # host-independent: a streaming workload is always incremental
         auto_plan = planner.plan(workloads[2])
         auto_cfg = EngineConfig(engine="auto", backend="float")
         self._emit(

@@ -9,12 +9,11 @@ reason about constraint files without writing Python:
 
 ``plan``
     Show the evaluation plan the engine planner resolves for a
-    workload -- tier, backend, shards, workers -- and, with
-    ``--explain``, the cost-model reasoning line by line.  Every
-    subcommand shares the same ``--engine
-    auto|scalar|batched|incremental|sharded`` selection; the
-    pre-planner ``--backend``/``--shards``/``--workers`` flags remain
-    as deprecated pinning aliases.
+    workload -- tier and backend -- and, with ``--explain``, the
+    cost-model reasoning line by line.  Every engine subcommand shares
+    the same ``--engine auto|scalar|batched|incremental`` selection;
+    ``--backend`` pins the numeric backend (a deprecated alias, kept
+    because it is the only CLI way to pin one).
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -35,14 +34,13 @@ reason about constraint files without writing Python:
     Replay a transaction log of row inserts/deletes/updates against a
     constraint file, reporting per transaction which constraints were
     newly violated or restored (the incremental engine: per-row delta
-    maintenance instead of full recomputation).  ``--shards K`` routes
-    the instance through the horizontally sharded context.
+    maintenance instead of full recomputation).
 
 ``serve``
     Answer a batch of ``implies``/``check`` queries through the
     microbatching constraint server: concurrent duplicates coalesce
     into one computation and answers are memoized in a fingerprint
-    -keyed LRU.  ``--baskets`` loads a (shardable) live instance for
+    -keyed LRU.  ``--baskets`` loads a live (incremental) instance for
     ``check`` queries.  With ``--port`` the command becomes a *long
     -running network service* speaking HTTP/JSON (check / implies /
     delta / probe endpoints; see :mod:`repro.engine.net`): it prints
@@ -54,7 +52,8 @@ reason about constraint files without writing Python:
     instance exactly.
 
 Both ``stream`` and ``serve`` accept ``--data-dir`` (durability) and
-``--fsync always|never`` (WAL sync policy).
+``--fsync always|never`` (WAL sync policy), and print the resolved
+plan as a ``# engine: tier=..., backend=...`` stamp line.
 
 Constraint files are plain text: first line the ground set (e.g.
 ``ABCD``), then one constraint per line in ``A -> B, CD`` syntax; ``#``
@@ -139,45 +138,21 @@ def engine_config_from_args(args, err: Optional[TextIO] = None) -> EngineConfig:
     group -- the single place CLI engine flags become configuration.
 
     ``--engine`` requests a tier (``auto`` lets the planner choose);
-    the pre-planner ``--backend``/``--shards``/``--workers`` aliases
-    keep working as pinned knobs but print a deprecation notice on
-    ``err``.  Durability flags (``--data-dir``/``--snapshot-every``/
-    ``--fsync``) ride along when the subcommand has them.
+    the ``--backend`` alias keeps working as a pinned knob but prints
+    a deprecation notice on ``err``.  Durability flags
+    (``--data-dir``/``--snapshot-every``/``--fsync``) ride along when
+    the subcommand has them.
     """
     backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
-    workers = getattr(args, "workers", None)
-    if shards is not None and shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {shards}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    deprecated = [
-        f"--{name}"
-        for name, value in (
-            ("backend", backend), ("shards", shards), ("workers", workers)
-        )
-        if value is not None
-    ]
-    if deprecated and err is not None:
+    if backend is not None and err is not None:
         print(
-            f"# deprecated: {', '.join(deprecated)} -- prefer --engine "
+            "# deprecated: --backend -- prefer --engine "
             "and the planner (see 'repro plan --explain')",
             file=err,
         )
-    engine = getattr(args, "engine", "auto")
-    if engine == "auto" and shards is not None and shards > 1:
-        # the legacy alias pinned the tier implicitly: keep doing so
-        engine = "sharded"
-    if shards is not None and shards > 1 and workers is None:
-        # historic CLI default: CPU count capped by the shard count
-        from repro.engine.parallel import default_workers
-
-        workers = default_workers(shards)
     return EngineConfig(
-        engine=engine,
+        engine=getattr(args, "engine", "auto"),
         backend=backend,
-        shards=shards,
-        workers=workers,
         durable=getattr(args, "data_dir", None),
         snapshot_every=getattr(args, "snapshot_every", None),
         fsync=getattr(args, "fsync", "always"),
@@ -382,19 +357,6 @@ def _cmd_stream(args, out: TextIO) -> int:
         for c in rep.restored:
             print(f"  restored: {c!r}", file=out)
     final = session.violated_constraints()
-    if session.plan.shards > 1:
-        # cross-check the incremental statuses through the per-shard
-        # fan-out (runs on the worker pool when workers > 1)
-        fanout = session.context.evaluate()
-        consistent = fanout.violated == tuple(
-            session.context.is_violated(c) for c in session.context.constraints
-        )
-        print(
-            f"# fan-out check over {session.plan.shards} shards / "
-            f"{session.plan.effective_workers} worker(s): "
-            f"{'consistent' if consistent else 'INCONSISTENT'}",
-            file=out,
-        )
     print(
         f"final: {len(final)}/{len(cset)} constraints violated "
         f"after {len(reports)} transactions",
@@ -443,25 +405,23 @@ def _cmd_serve(args, out: TextIO) -> int:
         )
     queries = parse_query_file(ground, _read(args.queries))
     config = engine_config_from_args(args, err=sys.stderr)
-    if config.shards is None and config.engine == "auto":
-        # the batch server historically ran a single inline shard
-        # unless the user asked for more; an explicit --engine sharded
-        # lets the planner resolve the shard/worker counts
-        config = config.replace(shards=1)
     instance = None
     if args.baskets:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
-        instance = db.sharded_context(config=config)
-    if instance is None and any(kind == "check" for kind, _ in queries):
+        counts = db.multiset_counts()
+        # the live instance is always the incremental tier: it is the
+        # only tier that holds a density
+        plan = default_planner().plan(
+            Workload(n=ground.size, density_size=len(counts), streaming=True),
+            config.replace(engine="incremental"),
+        )
+        instance = build_context(plan, ground, density=counts)
+    elif any(kind == "check" for kind, _ in queries):
         raise ValueError(
             "'check' queries need a live instance: no live instance was "
             "loaded (pass --baskets)"
         )
-    from repro.engine.plan import plan_of_context
-
-    if instance is not None:
-        print(_engine_stamp_line(plan_of_context(instance, config)), file=out)
     else:
         plan = default_planner().plan(
             Workload(
@@ -469,7 +429,7 @@ def _cmd_serve(args, out: TextIO) -> int:
             ),
             config,
         )
-        print(_engine_stamp_line(plan), file=out)
+    print(_engine_stamp_line(plan), file=out)
     answers, stats = serve_queries(
         cset,
         queries,
@@ -914,12 +874,12 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     """The shared engine-selection group (one definition, every
-    subcommand): ``--engine`` plus the deprecated pinning aliases."""
+    subcommand): ``--engine`` plus the deprecated ``--backend`` alias."""
     grp = p.add_argument_group(
         "engine",
         "evaluation-engine selection: request a tier with --engine and "
-        "let the planner resolve backend/shards/workers ('repro plan "
-        "--explain' shows the cost model)",
+        "let the planner resolve the backend ('repro plan --explain' "
+        "shows the cost model)",
     )
     grp.add_argument(
         "--engine",
@@ -933,18 +893,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         choices=["exact", "exact-vec", "float"],
         help="[deprecated alias] pin the numeric backend",
-    )
-    grp.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="[deprecated alias] pin the horizontal shard count",
-    )
-    grp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="[deprecated alias] pin the worker-process count",
     )
 
 

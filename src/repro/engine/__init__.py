@@ -18,16 +18,16 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
 * :mod:`repro.engine.calibrate` -- the host calibrator: affinity-aware
-  :func:`effective_cpus`, micro-benchmarked butterfly/process-pool
-  costs persisted as a versioned per-host :class:`HostProfile`, and
-  the measured planner thresholds derived from them (opt-in via
+  :func:`effective_cpus`, micro-benchmarked butterfly costs persisted
+  as a versioned per-host :class:`HostProfile`, and the measured
+  planner threshold derived from them (opt-in via
   ``REPRO_CALIBRATION``; disabled keeps plans deterministic);
 * :mod:`repro.engine.plan` -- the unified planner: :class:`EngineConfig`
-  (one configuration object: tier request, backend, shards, workers,
-  durability, cache budgets), :class:`Planner` (the explicit cost model
-  mapping workload shape and host CPUs to a :class:`Plan`), and
-  :func:`build_context`, the single factory every consumer constructs
-  evaluation contexts through;
+  (one configuration object: tier request, backend, durability, cache
+  budgets), :class:`Planner` (the explicit cost model mapping workload
+  shape to a :class:`Plan` over the scalar, batched and incremental
+  tiers), and :func:`build_context`, the single factory every consumer
+  constructs evaluation contexts through;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
   delta-maintained density/support/differential tables (``O(2^n)`` per
   row delta instead of ``O(n * 2^n)`` rebuilds) with per-delta
@@ -35,13 +35,6 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.stream` -- :class:`StreamSession`, the
   transactional surface (batch of deltas -> newly violated / restored
   constraints) and the transaction-log format behind ``repro stream``;
-* :mod:`repro.engine.shard` -- :class:`ShardedEvalContext`, horizontal
-  sharding by density mask: per-shard density/support/differential
-  tables with disjoint supports, merged exactly by elementwise sum,
-  with a dirty-shard fast path over the incremental engine;
-* :mod:`repro.engine.parallel` -- :class:`ParallelExecutor`, persistent
-  worker processes pinned per shard (version-keyed table reuse) with a
-  single-process inline fallback;
 * :mod:`repro.engine.server` -- :class:`ConstraintServer`, the async
   microbatching request queue behind ``repro serve``: coalesces
   concurrent implication/check queries and memoizes answers in a
@@ -120,22 +113,6 @@ from repro.engine.stream import (
     StreamReport,
     StreamSession,
     parse_transaction_log,
-)
-from repro.engine.shard import (
-    DEFAULT_JOURNAL_BOUND,
-    ShardPlan,
-    ShardedEvalContext,
-    ShardedEvaluation,
-    sum_tables,
-)
-from repro.engine.parallel import (
-    EvalRequest,
-    ParallelExecutor,
-    ShardAnswer,
-    ShmTable,
-    WorkerCrashError,
-    attach_shm_table,
-    default_workers,
 )
 from repro.engine.server import (
     ConstraintServer,
@@ -221,18 +198,6 @@ __all__ = [
     "StreamReport",
     "StreamSession",
     "parse_transaction_log",
-    "DEFAULT_JOURNAL_BOUND",
-    "ShardPlan",
-    "ShardedEvalContext",
-    "ShardedEvaluation",
-    "sum_tables",
-    "EvalRequest",
-    "ParallelExecutor",
-    "ShardAnswer",
-    "ShmTable",
-    "WorkerCrashError",
-    "attach_shm_table",
-    "default_workers",
     "ConstraintServer",
     "ServerStats",
     "serve_queries",

@@ -29,10 +29,10 @@ and :mod:`repro.core.lattice`.  This module centralizes that split:
     strided adds -- the fast lossy path.
 
 All expose the same small interface (allocate, copy, scatter, the four
-zeta/Moebius butterflies, masked zeroing/comparisons, the per-delta
-subset add and the shard merge-by-sum), so the batched evaluation
-engine (:mod:`repro.engine.batch`), the incremental maintenance loop
-and the shard merge are each written once.
+zeta/Moebius butterflies, masked zeroing/comparisons and the per-delta
+subset add), so the batched evaluation engine
+(:mod:`repro.engine.batch`) and the incremental maintenance loop are
+each written once.
 
 This module deliberately imports nothing from :mod:`repro.core`; it is
 the bottom layer of the engine and safe to import from anywhere.
@@ -156,8 +156,7 @@ class VecTable:
     The promotion ladder's middle rung: reads hand back plain python
     numbers (so ``list(table)`` equals the :class:`ExactBackend` list
     bit for bit), writes that do not fit int64 promote the storage to
-    an object-dtype array in place.  Pickles across process boundaries
-    (the sharded executor ships these between workers).
+    an object-dtype array in place.
     """
 
     __slots__ = ("arr",)
@@ -283,18 +282,6 @@ class Backend:
         """
         for sub in iter_subset_masks(mask):
             values[sub] = values[sub] + delta
-
-    def sum_tables(self, tables: Sequence[Table]) -> Table:
-        """Elementwise sum of same-length tables -- the shard merge."""
-        tables = list(tables)
-        if not tables:
-            raise ValueError("sum_tables needs at least one table")
-        merged = self.copy(tables[0])
-        for table in tables[1:]:
-            for i, v in enumerate(table):
-                if v != 0:
-                    merged[i] = merged[i] + v
-        return merged
 
     # -- masked elementwise helpers ------------------------------------
     def zero_where(self, values: Table, where: np.ndarray) -> None:
@@ -532,31 +519,6 @@ class VecExactBackend(Backend):
         for sub in iter_subset_masks(mask):
             arr[sub] = arr[sub] + delta
 
-    def sum_tables(self, tables: Sequence[Table]) -> VecTable:
-        tables = list(tables)
-        if not tables:
-            raise ValueError("sum_tables needs at least one table")
-        merged = self.copy(tables[0])
-        for table in tables[1:]:
-            other = (
-                table.arr if isinstance(table, VecTable)
-                else _exact_array(table)
-            )
-            a = merged.arr
-            if a.dtype != object and other.dtype != object:
-                # elementwise sums lie in [min_a + min_o, max_a + max_o]
-                if (
-                    int(a.max()) + int(other.max()) <= _INT64_MAX
-                    and int(a.min()) + int(other.min()) >= _INT64_MIN
-                ):
-                    np.add(a, other, out=a)
-                    continue
-            merged.promote()
-            if other.dtype != object:
-                other = other.astype(object)
-            np.add(merged.arr, other, out=merged.arr)
-        return merged
-
     # -- masked elementwise helpers ------------------------------------
     def _abs_gt_tol(self, arr: np.ndarray, tol: float) -> np.ndarray:
         """Boolean mask ``|v| > tol`` -- exact.  ``np.abs`` is avoided
@@ -661,17 +623,6 @@ class FloatBackend(Backend):
             values[where] += float(delta)
             return
         np.add(values, float(delta), out=values, where=where)
-
-    def sum_tables(self, tables: Sequence[Table]) -> np.ndarray:
-        # vectorized left-to-right: deterministic addition order, so
-        # integer-valued float tables merge bit-exactly
-        tables = list(tables)
-        if not tables:
-            raise ValueError("sum_tables needs at least one table")
-        merged = self.copy(tables[0])
-        for table in tables[1:]:
-            np.add(merged, table, out=merged)
-        return merged
 
     def zero_where(self, values: Table, where: np.ndarray) -> None:
         values[where] = 0.0

@@ -1,14 +1,13 @@
 """Host calibration: measure the machine instead of guessing at it.
 
 Every crossover the :class:`~repro.engine.plan.Planner` encodes -- the
-list-vs-numpy butterfly bar, the shard fan-out bar, the CPU budget --
-is a *host* property.  The paper's Proposition 5.5 bounds say which
-asymptotic tier wins; the constant factors that place the crossover
-points depend on the interpreter, the BLAS-free numpy build, the
-process-spawn cost and the cgroup CPU quota of the machine actually
-running the engine.  This module measures them once per host and
-persists a small versioned profile so later processes reuse the
-measurement instead of repeating it.
+list-vs-numpy butterfly bar, the CPU budget -- is a *host* property.
+The paper's Proposition 5.5 bounds say which asymptotic tier wins; the
+constant factors that place the crossover points depend on the
+interpreter, the BLAS-free numpy build and the cgroup CPU quota of the
+machine actually running the engine.  This module measures them once
+per host and persists a small versioned profile so later processes
+reuse the measurement instead of repeating it.
 
 The pieces
 ----------
@@ -16,22 +15,18 @@ The pieces
 * :func:`effective_cpus` -- the CPU budget *this process* may use:
   ``len(os.sched_getaffinity(0))`` (which sees CPU pinning and, on
   Linux, the cpuset half of container quotas) with an
-  ``os.cpu_count()`` fallback.  This is the count the planner and the
-  parallel executor consult; ``os.cpu_count()`` alone overstates
-  parallelism on constrained hosts and used to route work to the
-  sharded tier that is strictly slower there.
+  ``os.cpu_count()`` fallback.  This is the count the fleet sizing
+  consults; ``os.cpu_count()`` alone overstates parallelism on
+  constrained hosts.
 * :func:`measure_profile` -- the micro-benchmark: best-of-``repeats``
   timings of one full superset-zeta butterfly pass for the python-list
-  and the vectorized exact backend at two table sizes, plus the cost
-  of spawning a one-worker process pool and a second (warm) roundtrip
-  through it.
+  and the vectorized exact backend at two table sizes.
 * :class:`HostProfile` -- the measurement plus its provenance
   (schema version, CPU count, python version, machine).  Its
   :meth:`~HostProfile.thresholds` fits a ``t(n) = a * n * 2^n + b``
-  model per backend and turns the fit into planner overrides
-  (``VEC_MIN_N`` from the butterfly crossover, ``SHARD_MIN_N`` from
-  where a table pass dwarfs the pool roundtrip), clamped to sane
-  ranges so one noisy timing cannot produce a absurd plan.
+  model per backend and turns the fit into the planner's ``VEC_MIN_N``
+  override (the butterfly crossover), clamped to a sane range so one
+  noisy timing cannot produce an absurd plan.
 * :func:`load_profile` / :func:`save_profile` / :func:`ensure_profile`
   -- JSON persistence with paranoid loading: corrupt files, older
   schema versions and profiles measured under a different CPU budget
@@ -93,24 +88,10 @@ _ON_VALUES = frozenset(("1", "on", "auto", "true", "yes"))
 #: well under a second even on a slow host.
 DEFAULT_SIZES: Tuple[int, ...] = (8, 12)
 
-#: Clamps on derived thresholds -- one noisy timing must not produce
+#: Clamp on the derived threshold -- one noisy timing must not produce
 #: an absurd plan.  The vec bar may move within [4, 14] (14 is where
-#: the float backend takes over anyway); the shard size bar within
-#: [8, 20] (20 nears the dense limit).
+#: the float backend takes over anyway).
 VEC_BAR_RANGE = (4, 14)
-SHARD_BAR_RANGE = (8, 20)
-#: Clamp for the shared-memory table-return bar: below 2^10 entries a
-#: pickle is a few KB and always cheap; past 2^20 the pickle cost is so
-#: dominant the bar saturates.
-SHM_BAR_RANGE = (10, 20)
-
-#: Transport micro-benchmark shapes: the sparse payload item count for
-#: the pickle measurement, the journal batch for the delta-apply
-#: measurement, and the dense table size for the pickle-vs-shm bytes
-#: race (2^16 float64 = 512 KiB, the E22 scale).
-_TRANSPORT_ITEMS = 4096
-_TRANSPORT_RECORDS = 1024
-_TRANSPORT_TABLE_N = 16
 
 
 def effective_cpus() -> int:
@@ -166,20 +147,9 @@ class HostProfile:
 
     ``list_butterfly_s`` / ``vec_butterfly_s`` map table size ``n`` to
     the best observed seconds for one full superset-zeta pass on the
-    python-list and vectorized exact backends.  ``spawn_s`` is the cost
-    of standing up a one-worker process pool (including the first
-    task); ``roundtrip_s`` a warm submit+result through it; both are
-    ``None`` when spawn measurement was skipped.
-
-    The transport coefficients (all optional -- pre-transport profiles
-    and ``measure_transport=False`` leave them ``None``) price the
-    ways shard state crosses the process boundary: ``pickle_item_s``
-    per sparse payload item for a full reship, ``delta_record_s`` per
-    journalled ``(mask, delta)`` record for a delta ship (pickle
-    roundtrip plus the worker-side table point update),
-    ``pickle_byte_s`` per dense-table byte for a pickled return, and
-    ``shm_attach_s`` the flat cost of publishing and attaching one
-    shared-memory segment instead.
+    python-list and vectorized exact backends.  Profiles written by
+    older releases may carry further measurement keys (process-pool
+    and transport timings); loading ignores them.
 
     ``path`` records where the profile is (or will be) persisted;
     ``None`` for purely in-memory profiles.
@@ -191,12 +161,6 @@ class HostProfile:
     machine: str
     list_butterfly_s: Dict[int, float]
     vec_butterfly_s: Dict[int, float]
-    spawn_s: Optional[float] = None
-    roundtrip_s: Optional[float] = None
-    pickle_item_s: Optional[float] = None
-    delta_record_s: Optional[float] = None
-    pickle_byte_s: Optional[float] = None
-    shm_attach_s: Optional[float] = None
     path: Optional[str] = field(default=None, compare=False)
 
     # -- persistence ---------------------------------------------------
@@ -215,12 +179,6 @@ class HostProfile:
                 "vec_butterfly_s": {
                     str(n): t for n, t in sorted(self.vec_butterfly_s.items())
                 },
-                "spawn_s": self.spawn_s,
-                "roundtrip_s": self.roundtrip_s,
-                "pickle_item_s": self.pickle_item_s,
-                "delta_record_s": self.delta_record_s,
-                "pickle_byte_s": self.pickle_byte_s,
-                "shm_attach_s": self.shm_attach_s,
             },
         }
 
@@ -255,10 +213,6 @@ class HostProfile:
                 raise ValueError(f"{key} has a non-positive timing")
             return out
 
-        def optional(key: str) -> Optional[float]:
-            value = measurements.get(key)
-            return None if value is None else float(value)
-
         return cls(
             cpus=cpus,
             created=str(data.get("created", "")),
@@ -266,12 +220,6 @@ class HostProfile:
             machine=str(data.get("machine", "")),
             list_butterfly_s=timings("list_butterfly_s"),
             vec_butterfly_s=timings("vec_butterfly_s"),
-            spawn_s=optional("spawn_s"),
-            roundtrip_s=optional("roundtrip_s"),
-            pickle_item_s=optional("pickle_item_s"),
-            delta_record_s=optional("delta_record_s"),
-            pickle_byte_s=optional("pickle_byte_s"),
-            shm_attach_s=optional("shm_attach_s"),
             path=path,
         )
 
@@ -304,10 +252,6 @@ class HostProfile:
         ``VEC_MIN_N``: the smallest ``n`` where the fitted vectorized
         butterfly is no slower than the list one (within
         :data:`VEC_BAR_RANGE`; the cap if lists win everywhere).
-        ``SHARD_MIN_N``: the smallest ``n`` where one vectorized table
-        pass costs at least twice the warm pool roundtrip -- below
-        that, fan-out coordination eats the win (within
-        :data:`SHARD_BAR_RANGE`; absent when spawn was not measured).
         The streaming and float bars stay assumed: their crossovers
         are delta-pattern and tolerance properties, not raw butterfly
         speed.
@@ -320,26 +264,6 @@ class HostProfile:
                 break
         else:
             out["VEC_MIN_N"] = hi
-        if self.roundtrip_s is not None:
-            lo, hi = SHARD_BAR_RANGE
-            floor = 2.0 * self.roundtrip_s
-            for n in range(lo, hi + 1):
-                if self.predict_vec_s(n) >= floor:
-                    out["SHARD_MIN_N"] = n
-                    break
-            else:
-                out["SHARD_MIN_N"] = hi
-        if self.pickle_byte_s is not None and self.shm_attach_s is not None:
-            lo, hi = SHM_BAR_RANGE
-            for n in range(lo, hi + 1):
-                # 8 bytes per int64/float64 entry: shared memory wins
-                # once pickling the dense table costs more than one
-                # segment publish+attach roundtrip
-                if self.pickle_byte_s * 8 * (1 << n) >= self.shm_attach_s:
-                    out["SHM_MIN_N"] = n
-                    break
-            else:
-                out["SHM_MIN_N"] = hi
         return out
 
     # -- presentation --------------------------------------------------
@@ -357,14 +281,9 @@ class HostProfile:
     def describe(self) -> str:
         """The one-line provenance stamp used by ``plan --explain``."""
         n = max(self.vec_butterfly_s)
-        pool = (
-            f"pool roundtrip {self.roundtrip_s * 1e3:.2f}ms"
-            if self.roundtrip_s is not None
-            else "pool cost unmeasured"
-        )
         return (
             f"host profile: {self.cpus} effective CPU(s), vec butterfly "
-            f"{self.vec_speedup():.1f}x lists at |S|={n}, {pool}"
+            f"{self.vec_speedup():.1f}x lists at |S|={n}"
         )
 
     def summary(self) -> dict:
@@ -375,13 +294,6 @@ class HostProfile:
             "created": self.created,
             "path": self.path,
             "vec_speedup": round(self.vec_speedup(), 3),
-            "roundtrip_s": self.roundtrip_s,
-            "transport": {
-                "pickle_item_s": self.pickle_item_s,
-                "delta_record_s": self.delta_record_s,
-                "pickle_byte_s": self.pickle_byte_s,
-                "shm_attach_s": self.shm_attach_s,
-            },
             "thresholds": {
                 name.lower(): bar for name, bar in self.thresholds().items()
             },
@@ -389,115 +301,16 @@ class HostProfile:
 
 
 # ----------------------------------------------------------------------
-def _pool_probe() -> int:  # pragma: no cover - runs in the pool worker
-    return os.getpid()
-
-
-def _measure_transport(repeats: int) -> Dict[str, Optional[float]]:
-    """Best-of-``repeats`` per-unit costs of the three shard transports.
-
-    All measured in-process: what the executor pays is pickling,
-    applying and copying -- the pipe write is the same for every
-    strategy and cancels out of the comparison.  The shared-memory
-    probe is allowed to fail (no ``/dev/shm``, sealed-off tmpfs): it
-    reports ``None`` and the planner simply never picks shm.
-    """
-    import pickle
-
-    import numpy as np
-
-    from repro.engine.backends import VEC_EXACT
-
-    rng_items = [(mask, (mask % 7) + 1) for mask in range(_TRANSPORT_ITEMS)]
-    best_items = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        pickle.loads(pickle.dumps(rng_items, pickle.HIGHEST_PROTOCOL))
-        elapsed = time.perf_counter() - started
-        best_items = elapsed if best_items is None else min(best_items, elapsed)
-    pickle_item_s = max(best_items / _TRANSPORT_ITEMS, 1e-12)
-
-    size = 1 << 12
-    records = [
-        ((i * 2654435761) % size, (i % 5) - 2) for i in range(_TRANSPORT_RECORDS)
-    ]
-    records = [(m, d) for m, d in records if d != 0]
-    best_records = None
-    for _ in range(repeats):
-        table = VEC_EXACT.zeros(size)
-        support = VEC_EXACT.zeros(size)
-        started = time.perf_counter()
-        shipped = pickle.loads(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
-        for mask, delta in shipped:
-            table[mask] = table[mask] + delta
-            VEC_EXACT.add_on_subsets_inplace(support, mask, delta)
-        elapsed = time.perf_counter() - started
-        best_records = (
-            elapsed if best_records is None else min(best_records, elapsed)
-        )
-    delta_record_s = max(best_records / max(len(records), 1), 1e-12)
-
-    dense = np.arange(1 << _TRANSPORT_TABLE_N, dtype=np.float64)
-    best_bytes = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        pickle.loads(pickle.dumps(dense, pickle.HIGHEST_PROTOCOL))
-        elapsed = time.perf_counter() - started
-        best_bytes = elapsed if best_bytes is None else min(best_bytes, elapsed)
-    pickle_byte_s = max(best_bytes / dense.nbytes, 1e-15)
-
-    shm_attach_s: Optional[float] = None
-    try:
-        from multiprocessing import shared_memory
-
-        best_shm = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            segment = shared_memory.SharedMemory(
-                create=True, size=dense.nbytes
-            )
-            try:
-                view = np.ndarray(
-                    dense.shape, dtype=dense.dtype, buffer=segment.buf
-                )
-                view[:] = dense
-                float(view[-1])  # fault the pages in, like a merge would
-                del view
-            finally:
-                segment.close()
-                segment.unlink()
-            elapsed = time.perf_counter() - started
-            best_shm = elapsed if best_shm is None else min(best_shm, elapsed)
-        shm_attach_s = max(best_shm, 1e-9)
-    except (ImportError, OSError):  # pragma: no cover - host-dependent
-        shm_attach_s = None
-
-    return {
-        "pickle_item_s": pickle_item_s,
-        "delta_record_s": delta_record_s,
-        "pickle_byte_s": pickle_byte_s,
-        "shm_attach_s": shm_attach_s,
-    }
-
-
 def measure_profile(
     sizes: Tuple[int, ...] = DEFAULT_SIZES,
     repeats: int = 3,
-    measure_spawn: bool = True,
-    measure_transport: bool = True,
     path: Optional[str] = None,
 ) -> HostProfile:
     """Micro-benchmark this host and return a fresh :class:`HostProfile`.
 
     Times one full superset-zeta butterfly pass per backend at each of
     ``sizes`` (best of ``repeats``, fresh table per run so promotion
-    state cannot leak between timings).  ``measure_spawn=False`` skips
-    the process-pool measurement -- tests and doc examples use it to
-    stay fast and fork-free; the resulting profile then derives no
-    shard bar.  ``measure_transport=False`` likewise skips the shard
-    transport probes (payload pickle, delta apply, table pickle,
-    shared-memory roundtrip), leaving the planner's sync strategy and
-    journal bound on their assumed defaults.
+    state cannot leak between timings).
     """
     from repro.engine.backends import EXACT, VEC_EXACT, calibration_values
 
@@ -519,27 +332,6 @@ def measure_profile(
                 best = elapsed if best is None else min(best, elapsed)
             dest[n] = max(best, 1e-9)
 
-    spawn_s = roundtrip_s = None
-    if measure_spawn:
-        from concurrent.futures import ProcessPoolExecutor
-
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pool.submit(_pool_probe).result()
-            spawn_s = max(time.perf_counter() - started, 1e-9)
-            started = time.perf_counter()
-            pool.submit(_pool_probe).result()
-            roundtrip_s = max(time.perf_counter() - started, 1e-9)
-
-    transport: Dict[str, Optional[float]] = {
-        "pickle_item_s": None,
-        "delta_record_s": None,
-        "pickle_byte_s": None,
-        "shm_attach_s": None,
-    }
-    if measure_transport:
-        transport = _measure_transport(repeats)
-
     return HostProfile(
         cpus=effective_cpus(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -547,12 +339,6 @@ def measure_profile(
         machine=platform.machine() or "unknown",
         list_butterfly_s=list_t,
         vec_butterfly_s=vec_t,
-        spawn_s=spawn_s,
-        roundtrip_s=roundtrip_s,
-        pickle_item_s=transport["pickle_item_s"],
-        delta_record_s=transport["delta_record_s"],
-        pickle_byte_s=transport["pickle_byte_s"],
-        shm_attach_s=transport["shm_attach_s"],
         path=path,
     )
 
@@ -616,8 +402,6 @@ def ensure_profile(
     recalibrate: bool = False,
     sizes: Tuple[int, ...] = DEFAULT_SIZES,
     repeats: int = 3,
-    measure_spawn: bool = True,
-    measure_transport: bool = True,
 ) -> HostProfile:
     """The load-or-measure entry point.
 
@@ -635,13 +419,7 @@ def ensure_profile(
         profile = load_profile(path, expect_cpus=effective_cpus())
         if profile is not None:
             return profile
-    profile = measure_profile(
-        sizes=sizes,
-        repeats=repeats,
-        measure_spawn=measure_spawn,
-        measure_transport=measure_transport,
-        path=path,
-    )
+    profile = measure_profile(sizes=sizes, repeats=repeats, path=path)
     try:
         profile = save_profile(profile, path)
     except OSError as err:

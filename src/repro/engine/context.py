@@ -44,9 +44,7 @@ class EvalContext:
         shared cache.  Pass ``private_cache=True`` for an isolated one.
     """
 
-    # __weakref__ lets subclasses register weakref.finalize cleanup
-    # (ShardedEvalContext reclaims owned executors that way)
-    __slots__ = ("_backend", "_cache", "__weakref__")
+    __slots__ = ("_backend", "_cache")
 
     def __init__(
         self,

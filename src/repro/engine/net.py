@@ -13,8 +13,8 @@ path            method  body -> response
 ==============  ======  ====================================================
 ``/healthz``    GET     -> ``{"status", "transactions", "violated", ...}``
 ``/stats``      GET     -> microbatching counters + session state + the
-                        resolved engine plan (tier/backend/shards/
-                        workers, online promotions)
+                        resolved engine plan (tier/backend, durability,
+                        calibration)
 ``/implies``    POST    ``{"constraint": "A -> B, CD"}`` -> ``{"implied"}``
 ``/check``      POST    ``{"constraint": ...}`` -> ``{"satisfied"}``
 ``/delta``      POST    ``{"ops": ["+ AB 3", "- C"]}`` (one transaction,
@@ -404,14 +404,9 @@ class ReproService:
             stats = dict(self._batcher.stats.as_dict())
             stats["refused"] = self._refused
             stats["inflight"] = self._inflight
-            # the resolved engine plan the service is running (changes
-            # tier if the live auto session promotes online)
+            # the resolved engine plan the service is running
             stats["engine"] = self._session.plan.as_dict()
-            stats["engine"]["promotions"] = self._session.promotions
             stats["engine"]["calibration"] = self._session.calibration
-            # sharded sessions report their transport counters (deltas
-            # shipped vs full resyncs vs shm bytes, per shard)
-            stats["engine"]["transport"] = self._session.transport
             return 200, stats
         if method != "POST":
             return 405, {"error": f"{method} not allowed on {path}"}
@@ -482,10 +477,6 @@ class ReproService:
             )
         async with self._write_lock:
             report = self._session.apply_ops(transactions[0])
-            if self._batcher.instance is not self._session.context:
-                # the live auto session promoted its tier: point the
-                # microbatcher at the new context
-                self._batcher.set_instance(self._session.context)
         fmt = repr
         return 200, {
             "tx": report.tx,
@@ -519,9 +510,15 @@ class ReproService:
                 except (NotImplementedError, RuntimeError, ValueError):
                     pass  # non-main thread or unsupported platform
         await self._batcher.start()
-        server = await asyncio.start_server(
-            self._wrap_connection, host=self._host, port=self._port
-        )
+        try:
+            server = await asyncio.start_server(
+                self._wrap_connection, host=self._host, port=self._port
+            )
+        except BaseException:
+            # a failed bind must not leave the dispatcher task pending
+            # on a loop that is about to close
+            await self._batcher.stop()
+            raise
         try:
             self._port = server.sockets[0].getsockname()[1]
             if self._on_ready is not None:

@@ -44,9 +44,9 @@ needs:
 The session-facing helpers (:func:`encode_transaction`,
 :func:`snapshot_state`, :func:`verify_recovered`) serialize a batch of
 density deltas and capture/assert the consistency counters -- density
-fingerprint, support size, violated-constraint count, shard sizes --
-that make "replaying the log reproduces the live tables exactly" an
-*asserted* recovery invariant rather than a hope.
+fingerprint, support size, violated-constraint count -- that make
+"replaying the log reproduces the live tables exactly" an *asserted*
+recovery invariant rather than a hope.
 
 Like the rest of the engine this module imports nothing from
 :mod:`repro.core`; ground sets are duck-typed (``parse`` /
@@ -583,7 +583,7 @@ def snapshot_state(context, tx: int) -> dict:
 
     ``context`` is duck-typed: anything with the incremental engine's
     set-function protocol (``density_items`` / ``support_size`` /
-    ``violated_constraints``; ``shard_sizes`` when sharded).
+    ``violated_constraints``).
     """
     items = [(mask, value) for mask, value in context.density_items()]
     payload = {
@@ -597,10 +597,6 @@ def snapshot_state(context, tx: int) -> dict:
         "tracked": len(context.constraints),
         "violated": len(context.violated_constraints()),
     }
-    shard_sizes = getattr(context, "shard_sizes", None)
-    if shard_sizes is not None:
-        payload["shards"] = context.shards
-        payload["shard_sizes"] = list(shard_sizes())
     return payload
 
 
@@ -613,9 +609,10 @@ def verify_recovered(context, snapshot: dict) -> None:
     """Assert the seeded context reproduces the snapshot's counters.
 
     This is the recovery invariant made executable: fingerprint of the
-    density items, support size, violated-count (when the same
-    constraint theory is tracked) and shard sizes (when the same shard
-    count is used) must all match, else recovery *fails loudly*.
+    density items, support size and violated-count (when the same
+    constraint theory is tracked) must all match, else recovery *fails
+    loudly*.  Keys this check does not read (snapshots written by older
+    releases carry ``shards``/``shard_sizes``) are ignored.
     """
     fingerprint = density_fingerprint(context.density_items())
     if fingerprint != snapshot["fingerprint"]:
@@ -636,14 +633,4 @@ def verify_recovered(context, snapshot: dict) -> None:
             f"recovered violation count "
             f"{len(context.violated_constraints())} != snapshot count "
             f"{snapshot['violated']} for the same tracked theory"
-        )
-    shard_sizes = getattr(context, "shard_sizes", None)
-    if (
-        shard_sizes is not None
-        and snapshot.get("shards") == getattr(context, "shards", None)
-        and list(shard_sizes()) != snapshot["shard_sizes"]
-    ):
-        raise CorruptSnapshotError(
-            f"recovered shard sizes {list(shard_sizes())} != snapshot "
-            f"shard sizes {snapshot['shard_sizes']}"
         )

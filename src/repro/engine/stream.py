@@ -20,10 +20,11 @@ Subsets use the same shorthand as constraint files (``ground.parse``);
 ``#`` comments and blank lines are ignored; a trailing transaction
 without ``commit`` is committed implicitly.
 
-Sessions can be **durable**: ``durable=<data dir>`` attaches a
-:class:`~repro.engine.persist.DurableStore`, every committed
-transaction is appended to a CRC-framed write-ahead log *before* it is
-applied (in exactly the transaction-log format above), and
+Sessions can be **durable**: ``EngineConfig(durable=<data dir>)``
+attaches a :class:`~repro.engine.persist.DurableStore`, every
+committed transaction is appended to a CRC-framed write-ahead log
+*before* it is applied (in exactly the transaction-log format above),
+and
 :meth:`StreamSession.snapshot` persists the live density with its
 consistency counters and compacts the log.  Reopening a session on the
 same directory recovers: load the newest snapshot, assert its counters
@@ -36,9 +37,8 @@ Like the rest of the engine, this module imports nothing from
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.backends import Backend
 from repro.engine.decider import ImplicationCache
 from repro.engine.incremental import (
     DEFAULT_TOLERANCE,
@@ -52,7 +52,6 @@ from repro.engine.plan import (
     Workload,
     build_context,
     default_planner,
-    warn_deprecated_kwargs,
 )
 from repro.engine.persist import (
     DurableStore,
@@ -68,77 +67,33 @@ from repro.errors import PersistenceError, PlanError
 
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
 
-_UNSET = object()
+#: The config a session runs on when none is given: the incremental
+#: tier on exact python-list tables.
+_DEFAULT_CONFIG = EngineConfig(engine="incremental", backend="exact")
 
 
-def _resolve_session_config(
+def _session_config(
     config: Optional[EngineConfig],
-    backend,
-    shards,
-    workers,
-    durable,
-    shard_plan,
-    where: str,
     tol: float,
     snapshot_every,
     fsync: str,
     private_cache: bool,
-    stacklevel: int = 4,
 ) -> EngineConfig:
-    """Merge the deprecated kwargs shim and ``config=`` into one
-    :class:`EngineConfig` (shared by :class:`StreamSession` and the
-    high-level wrappers that front it)."""
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("shards", shards),
-            ("workers", workers),
-            ("durable", durable),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        if config is not None:
-            raise ValueError(
-                f"{where}: pass config=EngineConfig(...) or the "
-                f"deprecated {', '.join(sorted(legacy))} kwargs, not both"
-            )
-        warn_deprecated_kwargs(
-            sorted(legacy), where, stacklevel=stacklevel
-        )
+    """``config`` (or the incremental/exact default) refined by the
+    session's explicit non-default keyword arguments."""
     if config is None:
-        if "backend" in legacy and not isinstance(
-            legacy["backend"], (str, type(None))
-        ):
-            legacy["backend"] = legacy["backend"].name
-        config = EngineConfig.from_legacy(
-            **legacy,
-            tol=tol,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-            private_cache=private_cache,
-        )
-        if shard_plan is not None and config.engine != "sharded":
-            # a custom ShardPlan forces the sharded tier; its own shard
-            # count rules (mirrors the pre-planner behavior)
-            config = config.replace(
-                engine="sharded", shards=shard_plan.shards
-            )
-    else:
-        # explicit non-default kwargs refine the config they ride with
-        overrides = {}
-        if tol != DEFAULT_TOLERANCE and tol != config.tol:
-            overrides["tol"] = tol
-        if snapshot_every is not None:
-            overrides["snapshot_every"] = snapshot_every
-        if fsync != "always":
-            overrides["fsync"] = fsync
-        if private_cache:
-            overrides["private_cache"] = private_cache
-        if overrides:
-            config = config.replace(**overrides)
-    return config
+        config = _DEFAULT_CONFIG
+    overrides = {}
+    if tol != DEFAULT_TOLERANCE and tol != config.tol:
+        overrides["tol"] = tol
+    if snapshot_every is not None:
+        overrides["snapshot_every"] = snapshot_every
+    if fsync != "always":
+        overrides["fsync"] = fsync
+    if private_cache:
+        overrides["private_cache"] = private_cache
+    return config.replace(**overrides) if overrides else config
+
 
 #: One parsed log operation: ``("delta", mask, amount)`` adds ``amount``
 #: rows with itemset ``mask``; ``("set", mask, value)`` pins the
@@ -185,29 +140,15 @@ class StreamSession:
 
     ``density`` seeds the instance (e.g. a basket database's multiset
     counts) without counting as a transaction.  Engine policy comes in
-    as one :class:`~repro.engine.plan.EngineConfig` (``config=``): the
-    planner resolves it to a :class:`~repro.engine.plan.Plan` and the
-    live context is built through the single
-    :func:`~repro.engine.plan.build_context` factory.  With
-    ``config.engine == "auto"`` the session *re-plans online*: every
-    ``planner.REPLAN_EVERY`` committed transactions it re-consults the
-    cost model with the measured delta rate and live density size, and
-    **promotes** the tier (incremental -> sharded) with an exact state
-    handoff -- same density entries, same constraint statuses, version
-    counters carried over -- when the workload grows past the fan-out
-    bar.  The backend is pinned at construction and never changes
-    across a promotion.
+    as one :class:`~repro.engine.plan.EngineConfig` (``config=``; by
+    default the incremental tier on the exact backend): the planner
+    resolves it to a :class:`~repro.engine.plan.Plan` and the live
+    context is built through the single
+    :func:`~repro.engine.plan.build_context` factory.  The explicit
+    ``tol``/``snapshot_every``/``fsync``/``private_cache`` keywords
+    refine the config when they differ from their defaults.
 
-    The pre-planner kwargs (``backend=``, ``shards=``, ``workers=``,
-    ``durable=``) still work but are **deprecated**: they warn with
-    :class:`~repro.errors.EngineDeprecationWarning` and are translated
-    to a fully pinned config via
-    :meth:`~repro.engine.plan.EngineConfig.from_legacy` (``shards > 1``
-    forces the sharded tier, exactly the historic behavior).
-    ``shard_plan``/``executor`` pass a custom mask routing /  a shared
-    executor through to the sharded tier.
-
-    ``durable`` (a data-directory path or a
+    ``config.durable`` (a data-directory path or a
     :class:`~repro.engine.persist.DurableStore`) makes the session
     crash-proof.  On an empty directory the seed density is recorded
     (its fingerprint pins the directory to this seed) and a tx-0
@@ -225,38 +166,17 @@ class StreamSession:
         ground,
         constraints: Iterable = (),
         density=None,
-        backend: Union[str, Backend] = _UNSET,
         tol: float = DEFAULT_TOLERANCE,
         cache: Optional[ImplicationCache] = None,
         private_cache: bool = False,
-        shards: int = _UNSET,
-        plan=None,
-        workers: Optional[int] = _UNSET,
-        executor=None,
-        durable=_UNSET,
         snapshot_every: Optional[int] = None,
         fsync: str = "always",
         retain: int = 2,
         config: Optional[EngineConfig] = None,
         planner: Optional[Planner] = None,
-        _depth: int = 0,
     ):
-        config = _resolve_session_config(
-            config,
-            backend=backend,
-            shards=shards,
-            workers=workers,
-            durable=durable,
-            shard_plan=plan,
-            where="StreamSession",
-            tol=tol,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-            private_cache=private_cache,
-            # +_depth hops the warning over wrapper frames (basket
-            # databases, constraint sets, FD checkers) so the
-            # deprecation is attributed to the end caller
-            stacklevel=4 + _depth,
+        config = _session_config(
+            config, tol, snapshot_every, fsync, private_cache
         )
         self._config = config
         self._planner = planner if planner is not None else default_planner()
@@ -267,8 +187,6 @@ class StreamSession:
             )
         self._snapshot_every = config.snapshot_every
         self._wedged = False
-        self._deltas = 0
-        self._promotions = 0
         self._store: Optional[DurableStore] = None
         if config.durable is not None:
             self._store = (
@@ -300,7 +218,7 @@ class StreamSession:
             ),
             config,
         )
-        if self._plan.tier not in ("incremental", "sharded"):
+        if self._plan.tier != "incremental":
             raise PlanError(
                 f"stream sessions need a live tier, but the planner "
                 f"resolved {self._plan.tier!r} for |S| = {ground.size}; "
@@ -318,8 +236,6 @@ class StreamSession:
             density=density,
             constraints=constraints,
             cache=cache,
-            executor=executor,
-            shard_plan=plan,
         )
         self._tx = 0
         if self._store is not None:
@@ -444,18 +360,16 @@ class StreamSession:
         """Persist the live state and compact the write-ahead log."""
         if self._store is None:
             raise PersistenceError(
-                "this session is not durable (pass durable=<data dir>)"
+                "this session is not durable "
+                "(pass config=EngineConfig(durable=<data dir>))"
             )
         self._check_not_wedged()
         self._store.snapshot(snapshot_state(self._context, self._tx))
 
     def close(self) -> None:
-        """Flush and close the durable store (and any owned executor)."""
+        """Flush and close the durable store."""
         if self._store is not None:
             self._store.close()
-        closer = getattr(self._context, "close", None)
-        if closer is not None:
-            closer()
 
     def __enter__(self) -> "StreamSession":
         return self
@@ -476,18 +390,13 @@ class StreamSession:
 
     @property
     def plan(self) -> Plan:
-        """The currently active plan (changes across promotions)."""
+        """The plan this session runs on."""
         return self._plan
 
     @property
     def planner(self) -> Planner:
-        """The planner auto sessions re-consult when re-planning."""
+        """The planner this session was resolved by."""
         return self._planner
-
-    @property
-    def promotions(self) -> int:
-        """How many online tier promotions this session has performed."""
-        return self._promotions
 
     @property
     def calibration(self) -> dict:
@@ -500,75 +409,6 @@ class StreamSession:
         summary = profile.summary()
         summary["enabled"] = True
         return summary
-
-    @property
-    def transport(self) -> Optional[dict]:
-        """The sharded tier's transport counters (deltas shipped, full
-        resyncs, shared-memory bytes, per shard) for the service's
-        ``/stats`` engine block; ``None`` on unsharded sessions."""
-        stats = getattr(self._context, "transport_stats", None)
-        return stats() if callable(stats) else None
-
-    # ------------------------------------------------------------------
-    # online re-planning (config.engine == "auto")
-    # ------------------------------------------------------------------
-    def _measured_workload(self) -> Workload:
-        return Workload(
-            n=self._context.ground.size,
-            constraints=len(self._context.constraints),
-            delta_rate=self._deltas / max(1, self._tx),
-            density_size=self._context.support_size(),
-            streaming=True,
-        )
-
-    def _maybe_replan(self) -> None:
-        if self._config.engine != "auto" or self._plan.tier == "sharded":
-            return
-        if not self._planner.replan_due(self._tx):
-            return
-        self.replan()
-
-    def replan(self) -> Plan:
-        """Re-consult the planner with the measured workload; promote the
-        tier if the plan escalated.  Called automatically every
-        ``planner.REPLAN_EVERY`` transactions on auto sessions; callable
-        directly to force an immediate decision.
-
-        The backend is pinned to the running one -- a promotion changes
-        the tier, never the numeric representation, so the state
-        handoff is exact.
-        """
-        pinned = self._config.replace(backend=self._plan.backend)
-        new_plan = self._planner.plan(self._measured_workload(), pinned)
-        if new_plan.tier == "sharded" and self._plan.tier != "sharded":
-            self._promote(new_plan)
-        return self._plan
-
-    def _promote(self, new_plan: Plan) -> None:
-        """Exact state handoff onto a higher tier: same density entries,
-        same constraint statuses, version counters carried over (so
-        fingerprint-keyed downstream caches stay monotonic)."""
-        old = self._context
-        new = build_context(
-            new_plan,
-            old.ground,
-            density=dict(old.density_items()),
-            constraints=old.constraints,
-            cache=old.cache,
-        )
-        if (
-            new.violated_constraints() != old.violated_constraints()
-            or new.support_size() != old.support_size()
-        ):
-            raise PlanError(
-                "tier promotion produced divergent state (this is a "
-                "bug): violated/support mismatch after handoff"
-            )
-        new._theory_version = old.theory_version
-        new._zero_version = old.zero_version
-        self._context = new
-        self._plan = new_plan
-        self._promotions += 1
 
     @property
     def ground(self):
@@ -633,10 +473,10 @@ class StreamSession:
                 self._wedged = True
                 raise
             # the append is the commit point: advance the counter now,
-            # so a failure in the apply below (sharded executor death,
-            # ...) cannot make a later transaction reuse this sequence
-            # number and brick the log -- reopening replays the record
-            # and heals the live state instead
+            # so a failure in the apply below cannot make a later
+            # transaction reuse this sequence number and brick the log
+            # -- reopening replays the record and heals the live state
+            # instead
             self._tx += 1
             try:
                 newly, restored = self._context.apply_batch(deltas)
@@ -649,18 +489,15 @@ class StreamSession:
         else:
             newly, restored = self._context.apply_batch(deltas)
             self._tx += 1
-        self._deltas += len(deltas)
         if (
             self._snapshot_every is not None
             and self._store is not None
             and self._tx % self._snapshot_every == 0
         ):
             self.snapshot()
-        report = StreamReport(
+        return StreamReport(
             self._tx, newly, restored, self._context.violated_constraints()
         )
-        self._maybe_replan()
-        return report
 
     def apply_ops(self, ops: Iterable[Op]) -> StreamReport:
         """Commit a batch of parsed log operations."""

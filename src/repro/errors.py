@@ -22,7 +22,6 @@ __all__ = [
     "WalGapError",
     "PlanError",
     "CalibrationWarning",
-    "EngineDeprecationWarning",
 ]
 
 
@@ -107,21 +106,6 @@ class CalibrationWarning(UserWarning):
     names the reason, and re-measures the host from scratch.  The same
     category flags a calibration attempt that could not persist its
     profile (the measured thresholds still apply for the process).
-    """
-
-
-class EngineDeprecationWarning(DeprecationWarning):
-    """Category for the engine-configuration deprecation shims.
-
-    The pre-planner kwargs (``backend=``, ``shards=``, ``workers=``,
-    ``durable=`` on the high-level entry points, and the CLI's
-    ``--backend/--shards/--workers`` flags) keep working but warn with
-    this category; the canonical path is one
-    :class:`repro.engine.EngineConfig` handed to the planner.  The test
-    suite escalates this warning to an error *when it originates from
-    inside repro itself* (see ``[tool.pytest.ini_options]``), so internal
-    code can never regress onto the deprecated plumbing while external
-    callers only see a warning.
     """
 
 

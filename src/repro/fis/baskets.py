@@ -24,8 +24,6 @@ from repro.core.setfunction import SetFunction, SparseDensityFunction
 
 __all__ = ["BasketDatabase"]
 
-_UNSET = object()
-
 
 class BasketDatabase:
     """An immutable list of baskets over a ground set of items."""
@@ -168,11 +166,8 @@ class BasketDatabase:
         session state directly.
 
         ``config`` is the :class:`repro.engine.EngineConfig` the planner
-        resolves the session from (with ``engine="auto"`` the session
-        re-plans and promotes tiers online as the instance grows); the
-        pre-planner ``backend=``/``shards=``/``workers=``/``durable=``
-        kwargs still pass through, shimmed with a deprecation warning.
-        ``config.durable`` (or the deprecated ``durable=<data dir>``)
+        resolves the session from; remaining keyword arguments pass
+        through to the session.  ``config.durable`` (a data directory)
         makes the session crash-proof and *reopenable*: the first open
         records this database's counts as the seed (fingerprinted),
         later opens on the same directory verify the seed still matches
@@ -187,90 +182,5 @@ class BasketDatabase:
             constraints=constraints,
             density=self.multiset_counts(),
             config=config,
-            _depth=1,
-            **kwargs,
-        )
-
-    def sharded_context(
-        self,
-        constraints: Iterable = (),
-        config=None,
-        shards=_UNSET,
-        workers=_UNSET,
-        backend=_UNSET,
-        **kwargs,
-    ):
-        """A :class:`repro.engine.ShardedEvalContext` over this database.
-
-        The baskets are partitioned by itemset mask across the plan's
-        shards (default: planner-resolved from the host CPU budget), so
-        the per-shard densities are the multiset counts of disjoint
-        sublists of ``B`` -- Section 6.1's additivity made literal.  The
-        context's merged state is the support function ``s_B``;
-        discovery and satisfaction machinery consume it directly, and a
-        plan with ``workers > 1`` attaches a process pool for fanned-out
-        evaluation.  ``config`` pins the knobs
-        (:class:`repro.engine.EngineConfig`; ``engine`` is forced to
-        ``"sharded"`` here); the pre-planner ``shards=``/``workers=``/
-        ``backend=`` kwargs are deprecated shims.
-        """
-        from repro.engine.plan import (
-            EngineConfig,
-            Workload,
-            build_context,
-            default_planner,
-            warn_deprecated_kwargs,
-        )
-
-        legacy = {
-            name: value
-            for name, value in (
-                ("backend", backend),
-                ("shards", shards),
-                ("workers", workers),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "sharded_context: pass config=EngineConfig(...) or "
-                    f"the deprecated {', '.join(sorted(legacy))} kwargs, "
-                    "not both"
-                )
-            warn_deprecated_kwargs(
-                sorted(legacy), "BasketDatabase.sharded_context"
-            )
-            config = EngineConfig(
-                engine="sharded",
-                backend=legacy.get("backend", "exact"),
-                shards=legacy.get("shards"),
-                workers=legacy.get("workers"),
-            )
-        elif config is None:
-            config = EngineConfig(engine="sharded", backend="exact")
-        elif config.engine != "sharded":
-            config = config.replace(engine="sharded")
-        if "plan" in kwargs:  # pre-planner name for a custom ShardPlan
-            kwargs["shard_plan"] = kwargs.pop("plan")
-        for field in ("tol", "private_cache"):
-            if field in kwargs:
-                config = config.replace(**{field: kwargs.pop(field)})
-        constraints = tuple(constraints)
-        counts = self.multiset_counts()
-        plan = default_planner().plan(
-            Workload(
-                n=self._ground.size,
-                constraints=len(constraints),
-                density_size=len(counts),
-                streaming=True,
-            ),
-            config,
-        )
-        return build_context(
-            plan,
-            self._ground,
-            density=counts,
-            constraints=constraints,
             **kwargs,
         )

@@ -48,11 +48,8 @@ AnySetFunction = Union[SetFunction, SparseDensityFunction]
 
 def _as_function(source, config=None):
     """Unwrap mining sources: stream sessions expose their live context
-    (which itself implements the set-function protocol).  Incremental
-    and sharded contexts (:class:`repro.engine.ShardedEvalContext`)
-    pass through directly -- discovery over a partitioned instance
-    reads the merged live state, so ``db.sharded_context()`` mines
-    without materializing an unsharded copy.
+    (which itself implements the set-function protocol); incremental
+    contexts pass through directly.
 
     ``config`` (an :class:`repro.engine.EngineConfig`) routes a basket
     database through the engine planner instead of the plain sparse

@@ -144,74 +144,45 @@ class StreamingFDChecker:
     every insert/delete reports exactly which FDs it newly violated or
     restored -- no quadratic re-scan of the relation per check.
 
-    Engine policy (tier, backend, shards, workers) comes in as one
-    :class:`repro.engine.EngineConfig` (``config=``), resolved by the
-    planner and built through the single
-    :func:`repro.engine.plan.build_context` factory; the pre-planner
-    ``backend=``/``shards=``/``workers=``/``durable=`` kwargs remain as
-    deprecated shims.
+    Engine policy (tier, backend) comes in as one
+    :class:`repro.engine.EngineConfig` (``config=``; by default the
+    incremental tier on the exact backend), resolved by the planner and
+    built through the single :func:`repro.engine.plan.build_context`
+    factory.
 
-    ``config.durable`` (or the deprecated ``durable=<data dir>``)
-    makes the checker crash-proof: the durable
-    state is the *rows* (the agreement density is derived), so every
-    insert/delete is appended to a CRC-framed write-ahead log as a JSON
-    row op before it is applied, and snapshots persist the full row
-    multiset.  Reopening on the same directory recovers the relation
-    and re-derives the pairwise density through a fresh session (an
-    ``O(rows^2)`` rebuild, asserted against the snapshot's violation
-    counters).  Durable rows must be JSON-round-trippable tuples.
+    ``config.durable`` (a data directory) makes the checker
+    crash-proof: the durable state is the *rows* (the agreement
+    density is derived), so every insert/delete is appended to a
+    CRC-framed write-ahead log as a JSON row op before it is applied,
+    and snapshots persist the full row multiset.  Reopening on the same
+    directory recovers the relation and re-derives the pairwise density
+    through a fresh session (an ``O(rows^2)`` rebuild, asserted against
+    the snapshot's violation counters).  Durable rows must be
+    JSON-round-trippable tuples.
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         ground: GroundSet,
         fds: Iterable[FunctionalDependency] = (),
         config=None,
-        backend=_UNSET,
-        shards=_UNSET,
-        workers=_UNSET,
-        durable=_UNSET,
         snapshot_every=None,
         fsync: str = "always",
         retain: int = 2,
         **session_kwargs,
     ):
         from repro.engine.persist import DurableStore
-        from repro.engine.plan import EngineConfig, warn_deprecated_kwargs
+        from repro.engine.plan import EngineConfig
         from repro.engine.stream import StreamSession
 
-        unset = type(self)._UNSET
-        legacy = {
-            name: value
-            for name, value in (
-                ("backend", backend),
-                ("shards", shards),
-                ("workers", workers),
-                ("durable", durable),
-            )
-            if value is not unset
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "StreamingFDChecker: pass config=EngineConfig(...) "
-                    f"or the deprecated {', '.join(sorted(legacy))} "
-                    "kwargs, not both"
-                )
-            warn_deprecated_kwargs(sorted(legacy), "StreamingFDChecker")
-            durable = legacy.pop("durable", None)
-            config = EngineConfig.from_legacy(**legacy)
-        else:
-            durable = config.durable if config is not None else None
-            if config is None:
-                config = EngineConfig(engine="incremental", backend="exact")
-            if config.durable is not None:
-                # the checker's durable state is the *rows* (the
-                # agreement density is derived): the store is ours, the
-                # engine session underneath stays in-memory
-                config = config.replace(durable=None)
+        if config is None:
+            config = EngineConfig(engine="incremental", backend="exact")
+        durable = config.durable
+        if durable is not None:
+            # the checker's durable state is the *rows* (the agreement
+            # density is derived): the store is ours, the engine session
+            # underneath stays in-memory
+            config = config.replace(durable=None)
         if snapshot_every is None and config.snapshot_every is not None:
             snapshot_every = config.snapshot_every
         if fsync == "always":
@@ -225,14 +196,10 @@ class StreamingFDChecker:
         self._by_constraint = {
             fd.to_differential(): fd for fd in self._fds
         }
-        # a sharded plan partitions the agreement density by
-        # agreement-set mask (the sharded engine path); semantics are
-        # identical.
         self._session = StreamSession(
             ground,
             constraints=tuple(self._by_constraint),
             config=config,
-            _depth=1,
             **session_kwargs,
         )
         self._rows: Counter = Counter()

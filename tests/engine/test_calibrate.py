@@ -6,7 +6,7 @@ foreign-host profile must recalibrate *loudly* (one
 :class:`CalibrationWarning` naming the reason) -- never crash, never
 silently reuse stale coefficients.  Synthetic profiles with exact model
 coefficients pin the threshold math; real measurements use tiny sizes
-and no process spawn to stay fast.
+to stay fast.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core import GroundSet
 from repro.engine import StreamSession, calibrate
 from repro.engine.calibrate import (
     PROFILE_SCHEMA,
-    SHARD_BAR_RANGE,
     VEC_BAR_RANGE,
     HostProfile,
     calibration_mode,
@@ -40,13 +39,11 @@ from repro.engine.plan import (
 )
 from repro.errors import CalibrationWarning
 
-#: Fast measurement settings: tiny tables, one repeat, no process pool.
-FAST = dict(sizes=(4, 6), repeats=1, measure_spawn=False)
+#: Fast measurement settings: tiny tables, one repeat.
+FAST = dict(sizes=(4, 6), repeats=1)
 
 
-def profile_with(
-    list_a=1e-6, vec_a=1e-7, vec_b=0.0, roundtrip=None, cpus=None
-) -> HostProfile:
+def profile_with(list_a=1e-6, vec_a=1e-7, vec_b=0.0, cpus=None) -> HostProfile:
     """A synthetic profile whose fitted model coefficients are exact:
     ``t_list(n) = list_a * n * 2^n`` and ``t_vec(n) = vec_a * n * 2^n
     + vec_b`` -- so threshold expectations can be computed by hand."""
@@ -58,7 +55,6 @@ def profile_with(
         machine="testhost",
         list_butterfly_s={n: list_a * n * (1 << n) for n in sizes},
         vec_butterfly_s={n: vec_a * n * (1 << n) + vec_b for n in sizes},
-        roundtrip_s=roundtrip,
     )
 
 
@@ -76,14 +72,12 @@ class TestMeasurement:
         assert set(profile.list_butterfly_s) == {4, 6}
         assert set(profile.vec_butterfly_s) == {4, 6}
         assert all(t > 0 for t in profile.list_butterfly_s.values())
-        # spawn skipped: no roundtrip, hence no measured shard bar
-        assert profile.roundtrip_s is None
-        assert "SHARD_MIN_N" not in profile.thresholds()
-        assert "VEC_MIN_N" in profile.thresholds()
+        # the butterfly crossover is the one measured planner bar
+        assert set(profile.thresholds()) == {"VEC_MIN_N"}
 
     def test_needs_two_distinct_sizes(self):
         with pytest.raises(ValueError, match="2 distinct sizes"):
-            measure_profile(sizes=(6, 6), repeats=1, measure_spawn=False)
+            measure_profile(sizes=(6, 6), repeats=1)
 
 
 class TestThresholdDerivation:
@@ -100,19 +94,6 @@ class TestThresholdDerivation:
         # 9e-7 * n * 2^n >= 3e-3 first holds at n = 9
         profile = profile_with(list_a=1e-6, vec_a=1e-7, vec_b=3e-3)
         assert profile.thresholds()["VEC_MIN_N"] == 9
-
-    def test_shard_bar_tracks_the_pool_roundtrip(self):
-        # one vec pass must cost >= 2 * roundtrip: t_vec(13) ~ 10.6ms
-        # < 16ms <= t_vec(14) ~ 22.9ms, so the bar lands at 14
-        profile = profile_with(vec_a=1e-7, roundtrip=0.008)
-        assert profile.thresholds()["SHARD_MIN_N"] == 14
-
-    def test_shard_bar_clamps(self):
-        cheap = profile_with(vec_a=1e-7, roundtrip=1e-9)
-        assert cheap.thresholds()["SHARD_MIN_N"] == SHARD_BAR_RANGE[0]
-        dear = profile_with(vec_a=1e-7, roundtrip=10.0)
-        assert dear.thresholds()["SHARD_MIN_N"] == SHARD_BAR_RANGE[1]
-
 
 class TestPersistence:
     def test_roundtrip_preserves_profile_and_thresholds(self, tmp_path):
@@ -139,6 +120,35 @@ class TestPersistence:
         # collide at nanosecond resolution) and persisted over the old
         assert forced.list_butterfly_s != first.list_butterfly_s
         assert load_profile(path) == forced
+
+    def test_older_release_profile_with_pool_and_transport_keys_loads(
+        self, tmp_path
+    ):
+        # schema-1 profiles written by releases that also timed a
+        # process pool and the shard transports carry six more
+        # measurement keys; they are input from outside the program, so
+        # they must load quietly and derive the same vectorization bar
+        current = profile_with(list_a=1e-6, vec_a=1e-7, vec_b=3e-3)
+        data = current.as_json()
+        data["measurements"].update(
+            spawn_s=0.05,
+            roundtrip_s=0.0004,
+            pickle_item_s=2.5e-8,
+            delta_record_s=1.1e-6,
+            pickle_byte_s=1.9e-10,
+            shm_attach_s=3.2e-5,
+        )
+        path = str(tmp_path / "older.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationWarning)
+            loaded = load_profile(path, expect_cpus=effective_cpus())
+            reused = ensure_profile(path=path, **FAST)
+        assert loaded == current
+        assert reused.created == current.created  # reused, not re-measured
+        assert loaded.thresholds() == {"VEC_MIN_N": 9}
+        assert loaded.thresholds() == current.thresholds()
 
 
 class TestFailurePaths:
@@ -253,7 +263,7 @@ class TestCalibratedPlanner:
         assert plan.backend == "exact-vec"
 
     def test_explain_labels_measured_vs_assumed(self):
-        profile = profile_with(vec_a=1e-7, roundtrip=0.008)
+        profile = profile_with(vec_a=1e-7)
         planner = Planner.calibrated(profile)
         reasons = planner.plan(Workload(n=10, queries=1)).reasons
         cal = [r for r in reasons if r.startswith("calibration:")]
@@ -261,7 +271,6 @@ class TestCalibratedPlanner:
         assert "host profile" in cal[0]
         assert "vec_min_n=" in cal[1] and "measured (assumed 8)" in cal[1]
         assert "vec_stream_min_n=14 assumed" in cal[1]
-        assert "shard_min_n=14 measured (assumed 12)" in cal[1]
 
     def test_uncalibrated_plans_carry_no_calibration_lines(self):
         # the byte-identical acceptance bar: calibration off means the

@@ -1,9 +1,9 @@
-"""Audit regressions: delta hooks on degenerate densities and shards.
+"""Audit regressions: delta hooks on degenerate densities.
 
-Shard routing rebuilds per-shard state from ``density_items()`` and
-merges it back, which makes the protocol's edge cases load-bearing:
-an entry that an unsharded consumer silently mishandles becomes a
-merge mismatch.  The audit found one real divergence, pinned here:
+Snapshots, recovery and mining rebuild state from ``density_items()``,
+which makes the protocol's edge cases load-bearing: an entry that a
+consumer silently mishandles becomes a rebuild mismatch.  The audit
+found one real divergence, pinned here:
 
 * ``IncrementalEvalContext.density_items()`` / ``value()`` (and hence
   ``support_size``) used the *tolerance-based* nonzero set, silently
@@ -14,10 +14,9 @@ merge mismatch.  The audit found one real divergence, pinned here:
   too; constraint statuses and ``zero_set`` keep the paper's tolerance
   semantics (Definition 3.1) unchanged.
 
-The remaining tests pin the all-zero-density and empty-shard behaviors
-that shard routing exercises (cancelling deltas, zero deltas, trivial
-and empty families) across ``apply_density_delta`` / ``delta_affects``
-implementations.
+The remaining tests pin the all-zero-density behaviors (cancelling
+deltas, zero deltas, trivial and empty families, the empty ground set)
+across ``apply_density_delta`` / ``delta_affects`` implementations.
 """
 
 from fractions import Fraction
@@ -32,11 +31,7 @@ from repro.core import (
     SetFunction,
     SparseDensityFunction,
 )
-from repro.engine import (
-    IncrementalEvalContext,
-    ShardedEvalContext,
-    recompute_tables,
-)
+from repro.engine import IncrementalEvalContext, recompute_tables
 from repro.engine.backends import backend_by_name
 
 
@@ -104,29 +99,18 @@ class TestSubToleranceResidues:
         assert flips == [(c, True)]
         assert ctx.is_violated(c)
 
-    def test_sharded_context_routes_residues(self, ground):
-        """Shard dicts keep residues exactly like the merged tables."""
-        ctx = ShardedEvalContext(ground, shards=3, backend="exact")
-        residue = Fraction(1, 10**12)
-        ctx.apply_delta(ground.parse("B"), residue)
-        assert sum(ctx.shard_sizes()) == 1
-        assert list(ctx.merged_density_table()) == list(ctx.density_table())
-        assert dict(ctx.density_items()) == {ground.parse("B"): residue}
-
-
 class TestAllZeroDensity:
     """Deltas that cancel must leave every representation truly empty."""
 
     def test_cancelled_deltas_empty_everything(self, ground):
         for backend_name in ("exact", "float"):
-            ctx = ShardedEvalContext(ground, shards=2, backend=backend_name)
+            ctx = IncrementalEvalContext(ground, backend=backend_name)
             ctx.support_table()
             mask = ground.parse("AB")
             ctx.apply_delta(mask, 3)
             ctx.apply_delta(mask, -3)
             assert dict(ctx.density_items()) == {}
             assert ctx.support_size() == 0
-            assert ctx.shard_sizes() == (0, 0)
             assert ctx.value(0) == 0
             assert list(ctx.support_table()) == list(
                 backend_by_name(backend_name).zeros(1 << ground.size)
@@ -150,10 +134,9 @@ class TestAllZeroDensity:
 
     def test_zero_delta_is_a_noop_everywhere(self, ground):
         c = DifferentialConstraint.parse(ground, "A -> B")
-        ctx = ShardedEvalContext(ground, constraints=[c], shards=2)
+        ctx = IncrementalEvalContext(ground, constraints=[c])
         before = ctx.theory_version
         assert ctx.apply_delta(ground.parse("AC"), 0) == []
-        assert ctx.shard_versions == (0, 0)
         assert ctx.theory_version == before
         f = SetFunction.zeros(ground, exact=True)
         f.apply_density_delta(ground.parse("AC"), 0)
@@ -161,7 +144,7 @@ class TestAllZeroDensity:
 
 
 class TestDeltaAffectsEdges:
-    """delta_affects on the families shard routing can produce."""
+    """delta_affects on degenerate families and ground sets."""
 
     def test_trivial_constraint_is_never_affected(self, ground):
         trivial = DifferentialConstraint(
@@ -191,7 +174,7 @@ class TestDeltaAffectsEdges:
 
     def test_empty_ground_set_hooks(self):
         empty = GroundSet("")
-        ctx = ShardedEvalContext(empty, shards=2)
+        ctx = IncrementalEvalContext(empty)
         ctx.apply_delta(0, 4)
         assert ctx.value(0) == 4
         assert dict(ctx.density_items()) == {0: 4}

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import ConstraintSet, GroundSet
 from repro.engine import (
+    EngineConfig,
     ReproClient,
     ReproService,
     ServiceError,
@@ -52,13 +53,13 @@ class TestWireProtocol:
         # the resolved engine plan is stamped into /stats
         assert stats["engine"]["tier"] == "incremental"
         assert stats["engine"]["backend"] == "exact"
-        assert stats["engine"]["shards"] == 1
         assert stats["engine"]["durable"] is False
-        assert stats["engine"]["promotions"] == 0
+        # the engine block names the plan and the calibration, nothing else
+        assert set(stats["engine"]) == {
+            "tier", "backend", "durable", "calibration"
+        }
 
     def test_boot_from_one_engine_config(self, cset):
-        from repro.engine import EngineConfig
-
         handle = ReproService(
             cset,
             config=EngineConfig(engine="incremental", backend="float"),
@@ -193,7 +194,8 @@ class TestDurableService:
         def boot():
             session = StreamSession(
                 cset.ground, constraints=cset.constraints,
-                durable=data, snapshot_every=3,
+                config=EngineConfig(engine="incremental", durable=data),
+                snapshot_every=3,
             )
             return ReproService(cset, session=session).start_in_thread()
 
@@ -226,7 +228,9 @@ class TestDurableService:
     def test_graceful_stop_snapshots_unsnapshotted_tail(self, cset, tmp_path):
         data = str(tmp_path / "svc")
         session = StreamSession(
-            cset.ground, constraints=cset.constraints, durable=data
+            cset.ground,
+            constraints=cset.constraints,
+            config=EngineConfig(engine="incremental", durable=data),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         handle.client().delta(["+ ABCD 2"])
@@ -288,7 +292,9 @@ class TestStartupAndProtocolEdges:
 
         data = str(tmp_path / "svc")
         session = StreamSession(
-            cset.ground, constraints=cset.constraints, durable=data
+            cset.ground,
+            constraints=cset.constraints,
+            config=EngineConfig(engine="incremental", durable=data),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         client = handle.client()

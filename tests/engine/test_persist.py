@@ -21,7 +21,7 @@ import struct
 import pytest
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import StreamSession
+from repro.engine import EngineConfig, StreamSession
 from repro.engine.persist import (
     DurableStore,
     SnapshotStore,
@@ -222,11 +222,16 @@ class TestTransactionCodec:
         assert a != density_fingerprint([(1, 2), (3, 5)])
 
 
-def make_session(ground, cset, tmp_path, **kwargs) -> StreamSession:
+def durable_config(data_dir: str, backend: str = "exact") -> EngineConfig:
+    """The incremental tier on ``backend``, write-ahead logged to ``data_dir``."""
+    return EngineConfig(engine="incremental", backend=backend, durable=data_dir)
+
+
+def make_session(ground, cset, tmp_path, backend="exact", **kwargs) -> StreamSession:
     return StreamSession(
         ground,
         constraints=cset.constraints,
-        durable=str(tmp_path / "data"),
+        config=durable_config(str(tmp_path / "data"), backend),
         **kwargs,
     )
 
@@ -274,18 +279,46 @@ class TestDurableSession:
         assert state_of(s2) == expected
         s2.close()
 
-    def test_sharded_reopen_matches(self, ground, cset, tmp_path):
-        s = make_session(ground, cset, tmp_path, shards=3)
-        for text in ("AB", "ABC", "CD", "D"):
+    def test_older_release_snapshot_with_shard_keys_recovers(
+        self, ground, cset, tmp_path
+    ):
+        # data dirs written by releases that had a sharded tier carry
+        # ``shards``/``shard_sizes`` in their snapshots; they are input
+        # from outside the program and must recover unchanged
+        ops = ("AB", "ABC", "CD", "D", "AC")
+        s = make_session(ground, cset, tmp_path)
+        for text in ops[:4]:
             s.insert(text)
-        expected = state_of(s)
-        sizes = s.context.shard_sizes()
         s.snapshot()
+        s.insert(ops[4])  # a WAL tail on top of the snapshot
         s.close()
-        s2 = make_session(ground, cset, tmp_path, shards=3)
-        assert state_of(s2) == expected
-        assert s2.context.shard_sizes() == sizes
-        s2.close()
+        snapshots = sorted(
+            name for name in os.listdir(tmp_path / "data")
+            if name.startswith("snapshot-")
+        )
+        path = tmp_path / "data" / snapshots[-1]
+        payload = json.loads(path.read_text())
+        payload["shards"] = 3
+        payload["shard_sizes"] = [2, 1, 1]
+        path.write_text(json.dumps(payload))
+
+        reopened = make_session(ground, cset, tmp_path)
+        oracle = StreamSession(
+            ground,
+            constraints=cset.constraints,
+            config=EngineConfig(engine="incremental", backend="exact"),
+        )
+        for text in ops:
+            oracle.insert(text)
+        assert state_of(reopened) == state_of(oracle)
+        assert dict(reopened.context.density_items()) == dict(
+            oracle.context.density_items()
+        )
+        assert (
+            reopened.satisfied_constraints()
+            == oracle.satisfied_constraints()
+        )
+        reopened.close()
 
     def test_snapshot_compacts_wal(self, ground, cset, tmp_path):
         s = make_session(ground, cset, tmp_path)
@@ -314,33 +347,33 @@ class TestDurableSession:
             make_session(ground, cset, tmp_path, backend="float")
         with pytest.raises(PersistenceError, match=r"\|S\|"):
             StreamSession(
-                GroundSet("ABC"), durable=str(tmp_path / "data")
+                GroundSet("ABC"), config=durable_config(str(tmp_path / "data"))
             )
 
     def test_mismatched_seed_is_loud(self, ground, cset, tmp_path):
         s = StreamSession(
             ground, density={ground.parse("AB"): 2},
-            durable=str(tmp_path / "data"),
+            config=durable_config(str(tmp_path / "data")),
         )
         s.close()
         # same seed: fine (the BasketDatabase reopen path)
         StreamSession(
             ground, density={ground.parse("AB"): 2},
-            durable=str(tmp_path / "data"),
+            config=durable_config(str(tmp_path / "data")),
         ).close()
         # no seed: fine (recover whatever is there)
-        StreamSession(ground, durable=str(tmp_path / "data")).close()
+        StreamSession(ground, config=durable_config(str(tmp_path / "data"))).close()
         with pytest.raises(PersistenceError, match="different instance"):
             StreamSession(
                 ground, density={ground.parse("AB"): 3},
-                durable=str(tmp_path / "data"),
+                config=durable_config(str(tmp_path / "data")),
             )
 
     def test_wrong_kind_of_data_dir_is_loud(self, ground, tmp_path):
         store = DurableStore(str(tmp_path / "data"))
         store.write_meta({"format": 1, "kind": "fd-checker", "n": 4})
         with pytest.raises(PersistenceError, match="fd-checker"):
-            StreamSession(ground, durable=str(tmp_path / "data"))
+            StreamSession(ground, config=durable_config(str(tmp_path / "data")))
 
     def test_snapshot_on_memory_session_is_loud(self, ground):
         with pytest.raises(PersistenceError, match="not durable"):
@@ -494,14 +527,14 @@ class TestWriteAheadOrdering:
         s = StreamSession(
             ground,
             density={1: Fraction(1, 2)},
-            durable=str(tmp_path / "data"),
+            config=durable_config(str(tmp_path / "data")),
         )
         s.apply([(3, Fraction(1, 3))])
         expected = list(s.context.density_items())
         s.close()
         s2 = StreamSession(
             ground, density={1: Fraction(1, 2)},
-            durable=str(tmp_path / "data"),
+            config=durable_config(str(tmp_path / "data")),
         )
         assert list(s2.context.density_items()) == expected
         s2.close()
@@ -552,18 +585,18 @@ class TestWriteAheadOrdering:
         matching seed re-seeds (and heals), no seed fails loudly."""
         seed = {ground.parse("AB"): 5}
         data = str(tmp_path / "data")
-        s = StreamSession(ground, density=seed, durable=data)
+        s = StreamSession(ground, density=seed, config=durable_config(data))
         s.close()
         for entry in os.listdir(data):
             if entry.startswith("snapshot-"):
                 os.unlink(os.path.join(data, entry))
         with pytest.raises(PersistenceError, match="seed snapshot is missing"):
-            StreamSession(ground, durable=data)
-        s2 = StreamSession(ground, density=seed, durable=data)
+            StreamSession(ground, config=durable_config(data))
+        s2 = StreamSession(ground, density=seed, config=durable_config(data))
         assert s2.support("AB") == 5  # not silently empty
         s2.close()
         # the reopen healed the missing snapshot: a bare open now works
-        s3 = StreamSession(ground, durable=data)
+        s3 = StreamSession(ground, config=durable_config(data))
         assert s3.support("AB") == 5
         s3.close()
 

@@ -1,11 +1,8 @@
-"""The engine planner: tier boundaries, the config surface, the factory,
-and the deprecation shims.
+"""The engine planner: tier boundaries, the config surface and the factory.
 
-Every cost-model threshold is crossed from both sides, degenerate hosts
-(1 CPU) and ground sets (``|S| in {0, 1}``) are pinned, and the
-deprecated ``backend=``/``shards=``/``workers=``/``durable=`` kwargs are
-verified to keep working while warning with
-:class:`EngineDeprecationWarning`.
+Every cost-model threshold is crossed from both sides, degenerate
+ground sets (``|S| in {0, 1}``) are pinned, and the engine kwargs that
+the config object replaced are verified to be gone.
 """
 
 from __future__ import annotations
@@ -19,15 +16,14 @@ from repro.engine import (
     EvalContext,
     IncrementalEvalContext,
     Planner,
-    ShardedEvalContext,
     StreamSession,
     Workload,
     build_context,
     default_planner,
     plan_of_context,
 )
-from repro.engine.plan import DENSE_LIMIT, LIVE_TIERS, TIERS
-from repro.errors import EngineDeprecationWarning, NotApplicableError, PlanError
+from repro.engine.plan import DENSE_LIMIT, TIERS
+from repro.errors import NotApplicableError, PlanError
 from repro.fis import BasketDatabase
 from repro.relational import StreamingFDChecker
 from repro.relational.fd import FunctionalDependency
@@ -47,7 +43,6 @@ class TestCostModelBoundaries:
     def test_one_shot_workloads_are_batched(self):
         plan = plan_for(n=8, constraints=4, queries=10)
         assert plan.tier == "batched"
-        assert plan.shards == 1 and plan.effective_workers == 1
 
     def test_degenerate_ground_sets_stay_scalar(self):
         for n in (0, 1):
@@ -88,14 +83,6 @@ class TestCostModelBoundaries:
             n=stream_vec, streaming=True, config=EngineConfig(tol=0.0)
         )
         assert plan.tier == "incremental" and plan.backend == "exact-vec"
-        # the sharded tier is rebuild-dominated: low bar applies
-        plan = plan_for(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=planner.SHARD_MIN_DENSITY,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan.tier == "sharded" and plan.backend == "exact-vec"
 
     def test_zero_tolerance_forces_exact(self):
         planner = default_planner()
@@ -119,77 +106,24 @@ class TestCostModelBoundaries:
         plan = plan_for(n=4, queries=1, config=EngineConfig(backend="float"))
         assert plan.backend == "float"
 
-    def test_shard_bar_needs_cpus_n_and_load(self):
-        planner = default_planner()
-        base = dict(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=planner.SHARD_MIN_DENSITY,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan_for(**base).tier == "sharded"
-        # drop each leg below its threshold: the bar is conjunctive
-        assert (
-            plan_for(**{**base, "cpus": planner.SHARD_MIN_CPUS - 1}).tier
-            == "incremental"
-        )
-        assert (
-            plan_for(**{**base, "n": planner.SHARD_MIN_N - 1}).tier
-            == "incremental"
-        )
-        assert (
-            plan_for(
-                **{**base, "density_size": planner.SHARD_MIN_DENSITY - 1}
-            ).tier
-            == "incremental"
-        )
-
-    def test_delta_rate_alone_clears_the_load_leg(self):
-        planner = default_planner()
-        plan = plan_for(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=0,
-            delta_rate=planner.SHARD_MIN_DELTA_RATE,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan.tier == "sharded"
-
     def test_single_cpu_host_never_shards(self):
         plan = plan_for(
-            n=16, streaming=True, density_size=10**6, delta_rate=1e6, cpus=1
+            n=16, streaming=True, density_size=10**6, delta_rate=1e6
         )
         assert plan.tier == "incremental"
-
-    def test_sharded_resolution_of_shards_and_workers(self):
-        planner = default_planner()
-        plan = plan_for(
-            n=16, streaming=True, density_size=10**6, cpus=6
-        )
-        assert plan.tier == "sharded"
-        assert plan.shards == min(6, planner.MAX_SHARDS)
-        assert plan.workers == min(6, plan.shards)
-        capped = plan_for(n=16, streaming=True, density_size=10**6, cpus=64)
-        assert capped.shards == planner.MAX_SHARDS
-
-    def test_pinned_workers_capped_by_shards(self):
-        plan = plan_for(
-            n=16,
-            streaming=True,
-            config=EngineConfig(engine="sharded", shards=2, workers=16),
-        )
-        assert plan.workers == 2
 
     def test_plan_overhead_reasons_and_stamp(self):
         plan = plan_for(n=8, queries=1)
         assert plan.reasons  # --explain has something to print
         assert "tier=batched" in plan.stamp()
+        assert plan.stamp() == f"tier=batched, backend={plan.backend}"
         assert plan.as_dict()["tier"] == "batched"
         assert "tier=batched" in plan.explain()
 
 
 class TestForcedTiersAndValidation:
     def test_every_tier_can_be_forced(self):
+        assert TIERS == ("scalar", "batched", "incremental")
         for tier in TIERS:
             plan = plan_for(
                 n=6, streaming=True, config=EngineConfig(engine=tier)
@@ -204,25 +138,15 @@ class TestForcedTiersAndValidation:
                 config=EngineConfig(engine="incremental"),
             )
 
-    def test_shards_pinned_on_unsharded_tier_is_loud(self):
-        with pytest.raises(PlanError, match="unsharded tier"):
-            plan_for(
-                n=6,
-                streaming=True,
-                config=EngineConfig(engine="incremental", shards=3),
-            )
-
     def test_config_validation(self):
         with pytest.raises(PlanError):
             EngineConfig(engine="warp")
+        with pytest.raises(PlanError, match="unknown engine tier"):
+            EngineConfig(engine="sharded")
         with pytest.raises(PlanError):
             EngineConfig(backend="decimal")
         for ok in ("exact", "exact-vec", "float"):
             assert EngineConfig(backend=ok).backend == ok
-        with pytest.raises(PlanError):
-            EngineConfig(shards=0)
-        with pytest.raises(PlanError):
-            EngineConfig(workers=0)
         with pytest.raises(PlanError):
             EngineConfig(fsync="sometimes")
         with pytest.raises(PlanError):
@@ -232,17 +156,7 @@ class TestForcedTiersAndValidation:
         with pytest.raises(PlanError):
             Workload(n=-1)
         with pytest.raises(PlanError):
-            Workload(n=4, cpus=0)
-        with pytest.raises(PlanError):
             Planner(NO_SUCH_THRESHOLD=1)
-
-    def test_from_legacy_reproduces_historic_tiers(self):
-        assert EngineConfig.from_legacy().engine == "incremental"
-        assert EngineConfig.from_legacy(shards=1).engine == "incremental"
-        assert EngineConfig.from_legacy(shards=3).engine == "sharded"
-        assert EngineConfig.from_legacy().backend == "exact"
-        assert EngineConfig.from_legacy(backend="float").backend == "float"
-
 
 class TestBuildContext:
     def test_factory_returns_the_plan_tier(self):
@@ -251,19 +165,16 @@ class TestBuildContext:
             "scalar": EvalContext,
             "batched": EvalContext,
             "incremental": IncrementalEvalContext,
-            "sharded": ShardedEvalContext,
         }
         for tier, cls in by_tier.items():
             plan = plan_for(
-                n=4, streaming=tier in LIVE_TIERS,
+                n=4, streaming=tier == "incremental",
                 config=EngineConfig(engine=tier),
             )
             ctx = build_context(plan, ground)
+            # incremental subclasses EvalContext: assert the exact
+            # class, then the tier's distinguishing API
             assert type(ctx) is cls
-            # sharded subclasses incremental subclasses EvalContext:
-            # assert the exact class, then the tier's distinguishing API
-            if tier == "sharded":
-                assert ctx.shards == plan.shards
             if tier == "scalar":
                 assert ctx.backend is None  # operands keep their storage
             if tier == "batched":
@@ -278,13 +189,12 @@ class TestBuildContext:
 
     def test_plan_of_context_round_trips(self):
         ground = GroundSet("ABC")
-        for tier in LIVE_TIERS:
-            plan = plan_for(
-                n=3, streaming=True, config=EngineConfig(engine=tier)
-            )
-            described = plan_of_context(build_context(plan, ground))
-            assert described.tier == tier
-            assert described.shards == plan.shards
+        plan = plan_for(
+            n=3, streaming=True, config=EngineConfig(engine="incremental")
+        )
+        described = plan_of_context(build_context(plan, ground))
+        assert described.tier == "incremental"
+        assert described.backend == plan.backend
         assert plan_of_context(EvalContext(backend="exact")).tier == "batched"
         assert plan_of_context(EvalContext()).tier == "scalar"
 
@@ -310,51 +220,37 @@ class TestDecideMethod:
 
 
 class TestDeprecationShims:
-    def test_stream_session_legacy_kwargs_warn_and_work(self):
-        ground = GroundSet("ABC")
-        with pytest.warns(EngineDeprecationWarning, match="backend"):
-            session = StreamSession(ground, backend="float", shards=2)
-        assert session.plan.tier == "sharded"
-        assert session.plan.backend == "float"
-        session.insert("AB")
-        assert session.support("A") == 1
+    """The engine-kwarg deprecation is finished: the pre-config kwargs
+    are gone, passing one is a plain ``TypeError``, and
+    ``config=EngineConfig(...)`` is the only way in."""
 
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
+    @pytest.mark.parametrize(
+        "kwarg", ["backend", "shards", "workers", "durable"]
+    )
+    def test_stream_session_rejects_the_old_kwargs(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            StreamSession(GroundSet("AB"), **{kwarg: "exact"})
+
+    def test_wrappers_reject_the_old_kwargs(self):
         ground = GroundSet("AB")
-        with pytest.raises(ValueError, match="not both"):
-            StreamSession(
-                ground, backend="exact", config=EngineConfig()
-            )
-
-    def test_basket_database_shims(self):
-        ground = GroundSet("ABC")
-        db = BasketDatabase.of(ground, "AB", "C")
-        with pytest.warns(EngineDeprecationWarning):
-            ctx = db.sharded_context(shards=2)
-        assert ctx.shards == 2
-        with pytest.warns(EngineDeprecationWarning):
-            session = db.stream_session(backend="exact")
-        assert session.support("AB") == 1
-
-    def test_fd_checker_shims(self):
-        schema = GroundSet("AB")
-        fd = FunctionalDependency.of(schema, "A", "B")
-        with pytest.warns(EngineDeprecationWarning, match="shards"):
-            checker = StreamingFDChecker(schema, [fd], shards=2)
-        checker.insert((0, 0))
-        report = checker.insert((0, 1))
-        assert report.newly_violated
-        assert checker.session.plan.tier == "sharded"
+        with pytest.raises(TypeError):
+            BasketDatabase.of(ground, "A").stream_session(backend="exact")
+        with pytest.raises(TypeError):
+            StreamingFDChecker(ground, [], shards=2)
+        assert not hasattr(BasketDatabase, "sharded_context")
+        assert not hasattr(EngineConfig, "from_legacy")
 
     def test_default_construction_does_not_warn(self):
         import warnings
 
         ground = GroundSet("AB")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", EngineDeprecationWarning)
-            StreamSession(ground)
+            warnings.simplefilter("error")
+            session = StreamSession(ground)
             BasketDatabase.of(ground, "A").stream_session()
             StreamingFDChecker(ground, [])
+        # the default session: incremental tier, exact backend
+        assert session.plan.stamp() == "tier=incremental, backend=exact"
 
 
 class TestDurableReopen:
@@ -377,102 +273,10 @@ class TestDurableReopen:
         reopened.close()
 
 
-class TestOnlinePromotion:
-    def promoting_planner(self, replan_every=2):
-        return Planner(
-            SHARD_MIN_CPUS=1,
-            SHARD_MIN_N=2,
-            SHARD_MIN_DENSITY=3,
-            SHARD_MIN_DELTA_RATE=10**9,
-            REPLAN_EVERY=replan_every,
-        )
-
-    def test_auto_session_promotes_and_state_survives(self):
-        ground = GroundSet("ABCD")
-        cset = ConstraintSet.of(ground, "A -> B", "C -> D")
-        session = StreamSession(
-            ground,
-            cset.constraints,
-            config=EngineConfig(engine="auto"),
-            planner=self.promoting_planner(),
-        )
-        assert session.plan.tier == "incremental"
-        before_versions = None
-        for subset in ("AB", "AC", "BD", "CD", "A"):
-            session.insert(subset)
-            if session.promotions == 0:
-                before_versions = (
-                    session.context.theory_version,
-                    session.context.zero_version,
-                )
-        assert session.promotions == 1
-        assert session.plan.tier == "sharded"
-        assert isinstance(session.context, ShardedEvalContext)
-        # exact handoff: live values and statuses match an unpromoted
-        # oracle session fed the identical stream
-        oracle = StreamSession(
-            ground, cset.constraints,
-            config=EngineConfig(engine="incremental"),
-        )
-        for subset in ("AB", "AC", "BD", "CD", "A"):
-            oracle.insert(subset)
-        assert session.support("A") == oracle.support("A")
-        assert (
-            session.violated_constraints() == oracle.violated_constraints()
-        )
-        # version counters carried over (monotonic for downstream caches)
-        assert session.context.theory_version >= before_versions[0]
-        assert session.context.zero_version >= before_versions[1]
-
-    def test_pinned_tier_never_promotes(self):
-        ground = GroundSet("ABC")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="incremental"),
-            planner=self.promoting_planner(),
-        )
-        for subset in ("A", "B", "C", "AB", "BC", "AC"):
-            session.insert(subset)
-        assert session.promotions == 0
-        assert session.plan.tier == "incremental"
-
-    def test_promotion_pins_the_running_backend(self):
-        ground = GroundSet("ABCD")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="auto", backend="float"),
-            planner=self.promoting_planner(),
-        )
-        for subset in ("AB", "AC", "BD", "CD"):
-            session.insert(subset)
-        assert session.promotions == 1
-        assert session.plan.backend == "float"
-        assert session.context.backend.name == "float"
-
-    def test_forced_replan_promotes_immediately(self):
-        ground = GroundSet("ABC")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="auto"),
-            planner=self.promoting_planner(replan_every=10**6),
-        )
-        for subset in ("A", "B", "C"):
-            session.insert(subset)
-        assert session.promotions == 0
-        session.replan()
-        assert session.promotions == 1
-        assert session.plan.tier == "sharded"
-
-
 class TestAffinityAwareCpuDetection:
     """The host-CPU probe must see what the *process* may use, not what
     the box has: ``os.cpu_count()`` overstates parallelism under CPU
-    pinning and container quotas, which used to route constrained hosts
-    onto the strictly-slower sharded tier (PR 6's 0.33x cold case)."""
-
-    LOADED = dict(
-        n=14, streaming=True, density_size=10**6, delta_rate=5000.0
-    )
+    pinning and container quotas (the fleet sizes itself from it)."""
 
     def test_effective_cpus_prefers_affinity(self, monkeypatch):
         from repro.engine import calibrate
@@ -495,29 +299,3 @@ class TestAffinityAwareCpuDetection:
         )
         monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 3)
         assert calibrate.effective_cpus() == 3
-
-    def test_constrained_host_never_shards(self, monkeypatch):
-        # a 16-core box pinned to 2 CPUs must plan like a 2-CPU box:
-        # the loaded workload stays incremental and the default worker
-        # pool matches the quota, not the core count
-        from repro.engine import calibrate
-        from repro.engine.parallel import default_workers
-
-        monkeypatch.setattr(
-            calibrate.os, "sched_getaffinity", lambda pid: {0, 1},
-            raising=False,
-        )
-        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 16)
-        workload = Workload(**self.LOADED)
-        assert workload.host_cpus == 2
-        assert default_planner().plan(workload).tier == "incremental"
-        assert default_workers() == 2
-        assert default_workers(shards=8) == 2
-
-    def test_cpus_pinned_below_the_bar_never_shard(self):
-        # the acceptance bar: with cpus pinned below SHARD_MIN_CPUS, no
-        # workload -- even maximally loaded -- resolves to sharded
-        for cpus in (1, 2, 3):
-            plan = plan_for(cpus=cpus, **self.LOADED)
-            assert plan.tier == "incremental"
-        assert plan_for(cpus=4, **self.LOADED).tier == "sharded"

@@ -1,7 +1,7 @@
 """Tests for the microbatching constraint server.
 
 Correctness against the direct decider is carried by the property suite
-(tests/properties/test_shard_equivalence.py); here we pin the serving
+(tests/properties/test_incremental_equivalence.py); here we pin the serving
 mechanics: coalescing, cross-batch memoization, the LRU bound,
 version-keyed invalidation against a live instance, and lifecycle.
 """
@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.core import ConstraintSet, DifferentialConstraint, GroundSet, decide
-from repro.engine import ConstraintServer, ShardedEvalContext, serve_queries
+from repro.engine import ConstraintServer, IncrementalEvalContext, serve_queries
 
 
 @pytest.fixture
@@ -51,19 +51,6 @@ class TestServeQueries:
         with pytest.raises(RuntimeError, match="no live instance"):
             serve_queries(cset, [("check", target(ground, "A -> B"))])
 
-    def test_check_against_sharded_instance(self, ground, cset):
-        ctx = ShardedEvalContext(
-            ground, density={ground.parse("AC"): 1}, shards=2
-        )
-        answers, _ = serve_queries(
-            cset,
-            [("check", c) for c in cset.constraints],
-            instance=ctx,
-        )
-        assert answers == [
-            c.satisfied_by(ctx) for c in cset.constraints
-        ]
-
     def test_unknown_kind_rejected(self, ground, cset):
         with pytest.raises(ValueError, match="unknown query kind"):
             serve_queries(cset, [("refute", target(ground, "A -> B"))])
@@ -99,9 +86,7 @@ class TestConstraintServer:
         assert stats.cache_hits == 0
 
     def test_version_keyed_check_invalidation(self, ground, cset):
-        ctx = ShardedEvalContext(
-            ground, constraints=cset.constraints, shards=2
-        )
+        ctx = IncrementalEvalContext(ground, constraints=cset.constraints)
         c = cset.constraints[0]  # A -> B
 
         async def scenario():

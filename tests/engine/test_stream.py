@@ -19,6 +19,7 @@ from repro.core import (
     differential_function_by_definition,
 )
 from repro.engine import (
+    EngineConfig,
     IncrementalEvalContext,
     StreamSession,
     parse_transaction_log,
@@ -342,7 +343,9 @@ class TestDegenerateAudit:
         ground = self.EMPTY
         # the only nontrivial constraint: (/) -> {} with empty family
         c = DifferentialConstraint(ground, 0, SetFamily(ground))
-        session = StreamSession(ground, [c], backend=backend)
+        session = StreamSession(
+            ground, [c], config=EngineConfig(engine="incremental", backend=backend)
+        )
         report = session.apply([(0, 1)])
         assert report.newly_violated == (c,)
         f = SetFunction.from_density(ground, {0: 1}, exact=backend == "exact")

@@ -15,6 +15,8 @@ that cancel).
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,18 @@ from repro.core import (
     SetFamily,
     SetFunction,
     SparseDensityFunction,
+    decide,
     differential_apply_delta,
     differential_function,
     differential_function_by_definition,
 )
-from repro.engine import IncrementalEvalContext, StreamSession, recompute_tables
+from repro.engine import (
+    ConstraintServer,
+    EngineConfig,
+    IncrementalEvalContext,
+    StreamSession,
+    recompute_tables,
+)
 from repro.engine.backends import backend_by_name
 
 GROUNDS = [GroundSet("ABCDE"[:n]) for n in range(6)]  # |S| = 0..5
@@ -136,7 +145,11 @@ def test_stream_reports_are_consistent(backend_name, data):
     satisfied-set snapshot reproduces the final violated set, and every
     reported flip is a real status change."""
     ground, constraints, deltas = data
-    session = StreamSession(ground, constraints, backend=backend_name)
+    session = StreamSession(
+        ground,
+        constraints,
+        config=EngineConfig(engine="incremental", backend=backend_name),
+    )
     violated = set()
     for mask, delta in deltas:
         before = set(session.violated_constraints())
@@ -197,3 +210,40 @@ def test_engine_matches_scalar_definition(backend_name, data):
     for c in constraints:
         want = differential_function_by_definition(f, c.family)
         assert tables_equal(ctx.differential_table(c.family), want.table())
+
+
+@settings(max_examples=40)
+@given(data=instances())
+def test_server_answers_match_direct_decide(data):
+    """Microbatched, coalesced, memoized answers == decide() -- for
+    implication queries against C and checks against a live
+    incremental instance."""
+    ground, constraints, deltas = data
+    cset = ConstraintSet(ground, constraints)
+    live = IncrementalEvalContext(ground, constraints=constraints)
+    for mask, delta in deltas:
+        live.apply_delta(mask, delta)
+    targets = list(constraints) + [
+        DifferentialConstraint(
+            ground, 0, SetFamily(ground, [ground.universe_mask])
+        )
+    ]
+
+    async def scenario():
+        async with ConstraintServer(
+            cset, instance=live, max_delay=0.0005
+        ) as server:
+            implied = await asyncio.gather(
+                *[server.implies(t) for t in targets]
+            )
+            checked = await asyncio.gather(
+                *[server.check(t) for t in targets]
+            )
+            return implied, checked
+
+    implied, checked = asyncio.run(scenario())
+    f = SetFunction.from_density(ground, dict(live.density_items()), exact=True)
+    for t, answer in zip(targets, implied):
+        assert answer == decide(cset, t)
+    for t, answer in zip(targets, checked):
+        assert answer == t.satisfied_by(f)

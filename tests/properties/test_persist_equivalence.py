@@ -2,13 +2,13 @@
 
 The recovery invariant the durability layer promises (and the issue's
 acceptance criterion): for a random delta stream, on either backend,
-sharded or not, crashing at **any record boundary** -- including a torn
+crashing at **any record boundary** -- including a torn
 final record -- and running ``recover()`` yields density, support and
 differential tables exactly equal to an uninterrupted live context
 that committed the same prefix.  Deltas are integer-valued so float64
 arithmetic is exact regardless of addition order (the same convention
-as the shard-equivalence suite), making "exactly equal" a bit-for-bit
-claim on both backends.
+as the incremental-equivalence suite), making "exactly equal" a
+bit-for-bit claim on both backends.
 
 Crash simulation is byte-level: the WAL is truncated at a drawn record
 boundary, or mid-record to fabricate a torn tail, before reopening.
@@ -24,12 +24,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import DurableStore, StreamSession
+from repro.engine import DurableStore, EngineConfig, StreamSession
 from repro.engine.persist import _HEADER
 
 BACKENDS = ["exact", "float"]
-
-SHARD_COUNTS = [1, 3]
 
 #: Constraint texts valid over every tested ground set (|S| >= 2).
 THEORY = ("A -> B", "B -> A", "AB -> A, B")
@@ -37,6 +35,11 @@ THEORY = ("A -> B", "B -> A", "AB -> A, B")
 
 def make_theory(ground: GroundSet) -> ConstraintSet:
     return ConstraintSet.of(ground, *THEORY)
+
+
+def config(backend: str, durable=None) -> EngineConfig:
+    """The incremental tier pinned to ``backend``, optionally durable."""
+    return EngineConfig(engine="incremental", backend=backend, durable=durable)
 
 
 @st.composite
@@ -90,10 +93,9 @@ def assert_states_equal(recovered: StreamSession, oracle: StreamSession,
 
 class TestCrashRecoveryEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @given(data=st.data())
     @settings(max_examples=40)
-    def test_recover_at_any_record_boundary(self, backend, shards, data):
+    def test_recover_at_any_record_boundary(self, backend, data):
         ground, transactions = data.draw(delta_streams())
         cset = make_theory(ground)
         snapshot_every = data.draw(st.sampled_from([None, 2]))
@@ -102,9 +104,7 @@ class TestCrashRecoveryEquivalence:
             live = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                shards=shards,
-                durable=data_dir,
+                config=config(backend, durable=data_dir),
                 snapshot_every=snapshot_every,
                 fsync="never",
             )
@@ -136,22 +136,15 @@ class TestCrashRecoveryEquivalence:
             recovered = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                shards=shards,
-                durable=data_dir,
+                config=config(backend, durable=data_dir),
             )
             oracle = StreamSession(
-                ground, constraints=cset.constraints, backend=backend
+                ground, constraints=cset.constraints, config=config(backend)
             )
             for deltas in transactions[:crash_tx]:
                 oracle.apply(deltas)
             try:
                 assert_states_equal(recovered, oracle, cset)
-                # sharded recovery also reproduces the merged-table
-                # decomposition, not just the inherited live tables
-                if shards > 1:
-                    assert list(recovered.context.merged_density_table()) == \
-                        list(recovered.context.density_table())
             finally:
                 recovered.close()
                 oracle.close()
@@ -173,8 +166,7 @@ class TestCrashRecoveryEquivalence:
             first = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                durable=data_dir,
+                config=config(backend, durable=data_dir),
                 fsync="never",
             )
             for deltas in transactions[:cut]:
@@ -183,13 +175,12 @@ class TestCrashRecoveryEquivalence:
             resumed = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                durable=data_dir,
+                config=config(backend, durable=data_dir),
             )
             for deltas in transactions[cut:]:
                 resumed.apply(deltas)
             oracle = StreamSession(
-                ground, constraints=cset.constraints, backend=backend
+                ground, constraints=cset.constraints, config=config(backend)
             )
             for deltas in transactions:
                 oracle.apply(deltas)

@@ -7,8 +7,8 @@ pure-python ``ExactBackend`` bit for bit, including across the
 overflow-promotion ladder (int64 -> object dtype) and for Fractions,
 which route to object storage from the start.  The suite drives random
 inputs through both backends across all tiers -- raw butterflies,
-batched differentials, incremental delta maintenance, sharded
-merge-and-evaluate -- plus targeted overflow-boundary cases at
+batched differentials, incremental delta maintenance -- plus targeted
+overflow-boundary cases at
 ``+/- 2^62`` (the exact point where one butterfly add could leave
 int64).
 """
@@ -27,7 +27,6 @@ from repro.engine import (
     EXACT,
     VEC_EXACT,
     IncrementalEvalContext,
-    ShardedEvalContext,
     VecTable,
     recompute_tables,
 )
@@ -124,7 +123,7 @@ def test_masked_helpers_agree(values, where, tol):
 
 
 # ----------------------------------------------------------------------
-# incremental + sharded tiers
+# the incremental tier
 # ----------------------------------------------------------------------
 @st.composite
 def instances(draw):
@@ -195,35 +194,6 @@ def test_incremental_tier_byte_identical(data):
         assert vec_equals_list(want, ref.differential_table(c.family))
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=instances(), shards=st.sampled_from([1, 2, 3]))
-def test_sharded_tier_byte_identical(data, shards):
-    ground, constraints, deltas = data
-    vec = ShardedEvalContext(
-        ground, constraints=constraints, shards=shards, backend="exact-vec"
-    )
-    ref = ShardedEvalContext(
-        ground, constraints=constraints, shards=shards, backend="exact"
-    )
-    for mask, delta in deltas:
-        assert vec.apply_delta(mask, delta) == ref.apply_delta(mask, delta)
-    assert vec_equals_list(vec.merged_density_table(), ref.merged_density_table())
-    assert vec_equals_list(vec.merged_support_table(), ref.merged_support_table())
-    for c in constraints:
-        assert vec_equals_list(
-            vec.merged_differential_table(c.family),
-            ref.merged_differential_table(c.family),
-        )
-    probes = list(range(min(4, 1 << ground.size)))
-    got = vec.evaluate(probes=probes, return_tables=True)
-    want = ref.evaluate(probes=probes, return_tables=True)
-    assert got.violated == want.violated
-    assert got.support == want.support
-    assert vec_equals_list(got.density_table, want.density_table)
-    assert vec_equals_list(got.support_table, want.support_table)
-    vec.close(), ref.close()
-
-
 # ----------------------------------------------------------------------
 # the promotion ladder
 # ----------------------------------------------------------------------
@@ -273,16 +243,6 @@ class TestOverflowPromotion:
         VEC_EXACT.add_on_subsets_inplace(vec, 0b01, 1)
         assert vec.is_object and vec[0] == 2**63 and vec[1] == 2
         assert vec[2] == 0  # untouched positions stay untouched
-
-    def test_shard_merge_promotes_on_overflow(self):
-        big = VEC_EXACT.copy([3 * 2**61, 1])
-        merged = VEC_EXACT.sum_tables([big, VEC_EXACT.copy(big)])
-        assert merged.is_object
-        assert list(merged) == [3 * 2**62, 2]
-        small = VEC_EXACT.sum_tables(
-            [VEC_EXACT.copy([1, 2]), VEC_EXACT.copy([3, 4])]
-        )
-        assert not small.is_object and list(small) == [4, 6]
 
     def test_incremental_context_survives_promotion(self):
         ground = GroundSet("AB")

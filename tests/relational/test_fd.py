@@ -152,11 +152,13 @@ class TestDurableChecker:
         ]
 
     def _checker(self, ground, fds, tmp_path, **kwargs):
+        from repro.engine import EngineConfig
         from repro.relational import StreamingFDChecker
 
-        return StreamingFDChecker(
-            ground, fds, durable=str(tmp_path / "fd"), **kwargs
+        config = EngineConfig(
+            engine="incremental", backend="exact", durable=str(tmp_path / "fd")
         )
+        return StreamingFDChecker(ground, fds, config=config, **kwargs)
 
     def test_reopen_recovers_rows_and_density(self, ground_abc, fds, tmp_path):
         ck = self._checker(ground_abc, fds, tmp_path, snapshot_every=3)
@@ -197,10 +199,12 @@ class TestDurableChecker:
         ck2.close()
 
     def test_wrong_kind_of_dir_is_loud(self, ground_abc, fds, tmp_path):
-        from repro.engine import StreamSession
+        from repro.engine import EngineConfig, StreamSession
         from repro.errors import CorruptSnapshotError
 
-        StreamSession(ground_abc, durable=str(tmp_path / "fd")).close()
+        StreamSession(
+            ground_abc, config=EngineConfig(durable=str(tmp_path / "fd"))
+        ).close()
         with pytest.raises(CorruptSnapshotError, match="stream-session"):
             self._checker(ground_abc, fds, tmp_path)
 

@@ -114,7 +114,7 @@ class TestPlan:
     def test_one_shot_plan(self, constraint_file):
         code, text = _run(["plan", constraint_file])
         assert code == 0
-        assert "plan: tier=batched, backend=exact, shards=1, workers=1" in text
+        assert "plan: tier=batched, backend=exact\n" in text
 
     def test_streaming_plan_with_baskets(self, constraint_file, basket_file):
         code, text = _run(["plan", constraint_file, "--baskets", basket_file])
@@ -130,9 +130,9 @@ class TestPlan:
         assert "implies method=" in text
 
     def test_pinned_engine_flag(self, constraint_file):
-        code, text = _run(["plan", constraint_file, "--engine", "sharded"])
+        code, text = _run(["plan", constraint_file, "--engine", "incremental"])
         assert code == 0
-        assert "tier=sharded" in text
+        assert "plan: tier=incremental, backend=exact\n" in text
 
     def test_deprecated_aliases_still_pin(self, constraint_file, capsys):
         code, text = _run(["plan", constraint_file, "--backend", "float"])
@@ -142,12 +142,26 @@ class TestPlan:
         assert "deprecated" not in text
         assert "deprecated" in capsys.readouterr().err
 
-    def test_unsatisfiable_pinning_is_loud(self, constraint_file):
-        code, text = _run(
-            ["plan", constraint_file, "--engine", "batched", "--shards", "2"]
-        )
-        assert code == 2
-        assert "unsharded tier" in text
+    @pytest.mark.parametrize(
+        "command", ["implies", "plan", "stream", "serve"]
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "sharded"], ["--shards", "2"], ["--workers", "2"]],
+    )
+    def test_removed_engine_flags_exit_2(
+        self, command, flags, constraint_file, log_file, query_file, capsys
+    ):
+        extra = {
+            "implies": ["A -> C"],
+            "plan": [],
+            "stream": [log_file],
+            "serve": [query_file],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            _run([command, constraint_file, *extra, *flags])
+        assert err.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestDerive:
@@ -250,44 +264,15 @@ def log_file(tmp_path):
 class TestStream:
     def test_output_stamped_with_engine_config(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
-        assert (
-            "# engine: tier=incremental, backend=exact, shards=1, workers=1"
-            in text
-        )
+        assert "# engine: tier=incremental, backend=exact\n" in text
         _, text = _run(
-            ["stream", constraint_file, log_file, "--backend", "float",
-             "--shards", "2", "--workers", "1"]
+            ["stream", constraint_file, log_file, "--backend", "float"]
         )
-        assert (
-            "# engine: tier=sharded, backend=float, shards=2, workers=1"
-            in text
-        )
-
-    def test_sharded_replay_matches_unsharded(self, constraint_file, log_file):
-        code_plain, plain = _run(["stream", constraint_file, log_file])
-        code_sharded, sharded = _run(
-            ["stream", constraint_file, log_file, "--shards", "3",
-             "--workers", "1"]
-        )
-        assert code_plain == code_sharded
-        # identical transcripts modulo the configuration stamp and the
-        # sharded run's extra fan-out cross-check line
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("#")
-        ]
-        assert strip(plain) == strip(sharded)
-        assert "# fan-out check over 3 shards / 1 worker(s): consistent" in sharded
-        assert "fan-out" not in plain
-
-    def test_invalid_shard_count_rejected(self, constraint_file, log_file):
-        code, text = _run(
-            ["stream", constraint_file, log_file, "--shards", "0"]
-        )
-        assert code == 2
-        assert "--shards must be >= 1" in text
+        assert "# engine: tier=incremental, backend=float\n" in text
 
     def test_replay_reports_flips(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
+        assert "# engine: tier=incremental, backend=exact\n" in text
         assert "tx 1: +1 violated" in text
         assert "violated: A -> {B}" in text
         assert "tx 2:" in text and "restored: A -> {B}" in text
@@ -310,6 +295,7 @@ class TestStream:
             ["stream", constraint_file, str(log), "--baskets", basket_file,
              "--backend", "float"]
         )
+        assert "# engine: tier=incremental, backend=float\n" in text
         # the AB baskets violate B -> C at seed time (A -> B holds)
         assert "seeded 5 rows; 1/2 constraints violated" in text
         # removing every basket except ABC restores it
@@ -362,27 +348,11 @@ class TestServe:
         self, constraint_file, query_file, basket_file
     ):
         code, text = _run(
-            ["serve", constraint_file, query_file, "--baskets", basket_file,
-             "--shards", "2", "--workers", "1"]
+            ["serve", constraint_file, query_file, "--baskets", basket_file]
         )
-        assert (
-            "# engine: tier=sharded, backend=exact, shards=2, workers=1"
-            in text
-        )
+        # the live instance is always the incremental tier
+        assert "# engine: tier=incremental, backend=exact\n" in text
         assert text.count("IMPLIED: A -> {C}") == 2
-
-    def test_engine_sharded_lets_the_planner_resolve_shards(
-        self, constraint_file, query_file, basket_file
-    ):
-        code, text = _run(
-            ["serve", constraint_file, query_file, "--baskets", basket_file,
-             "--engine", "sharded"]
-        )
-        assert code in (0, 1)
-        # the planner resolves at least two shards for a pinned sharded
-        # tier (it is not silently pinned back to one)
-        stamp = next(l for l in text.splitlines() if l.startswith("# engine"))
-        assert "tier=sharded" in stamp and "shards=1" not in stamp
         assert "NOT IMPLIED: C -> {A}" in text
         # the AB baskets violate B -> C; A -> B holds on the instance
         assert "SATISFIED: A -> {B}" in text

@@ -72,14 +72,9 @@ class TestTutorial:
         assert session.violated_constraints() == ()
         assert namespace["checker"].violated_fds() == ()
 
-    def test_scaling_section_exercises_shards_and_server(self):
+    def test_server_section_exercises_the_microbatcher(self):
         namespace = _run_blocks(os.path.join(ROOT, "docs", "TUTORIAL.md"))
-        shard_ctx = namespace["shard_ctx"]
-        assert shard_ctx.shards == 3
-        assert list(shard_ctx.merged_density_table()) == list(
-            shard_ctx.density_table()
-        )
-        assert namespace["server_answers"][0] is True
+        assert namespace["server_answers"] == [True, True, False]
         assert namespace["server_stats"].requests == 3
 
     def test_service_section_exercises_durability_and_the_wire(self):
@@ -109,9 +104,8 @@ class TestArchitecture:
         with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md")) as fh:
             text = fh.read()
         for module in ("batch", "backends", "decider", "context", "plan",
-                       "calibrate", "incremental", "stream", "shard",
-                       "parallel", "server", "persist", "net", "quota",
-                       "fleet"):
+                       "calibrate", "incremental", "stream", "server",
+                       "persist", "net", "quota", "fleet"):
             assert f"repro.engine.{module}" in text, module
 
 
@@ -130,19 +124,6 @@ class TestOperations:
                        "--ship-to", "/healthz", "/stats",
                        "--quota-rate", "--snapshot-every", "--fsync"):
             assert needle in text, needle
-
-
-class TestShardedServiceExample:
-    def test_example_runs_end_to_end(self, capsys):
-        import runpy
-
-        runpy.run_path(
-            os.path.join(ROOT, "examples", "sharded_service.py"),
-            run_name="__main__",
-        )
-        out = capsys.readouterr().out
-        assert "shards" in out
-        assert "IMPLIED" in out or "implied" in out
 
 
 class TestDurableServiceExample:
