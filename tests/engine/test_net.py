@@ -268,6 +268,21 @@ class TestStartupAndProtocolEdges:
                 ReproService(cset, port=taken).start_in_thread()
             assert time.monotonic() - t0 < 10  # not the full 30s wait
 
+    def test_bind_failure_leaves_no_dispatcher_task(self, cset):
+        # a failed bind must stop the microbatcher it already started:
+        # a dispatcher left pending on the closing loop is destroyed
+        # later as an unraisable "coroutine was never finished" error
+        import asyncio
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            service = ReproService(cset, port=holder.getsockname()[1])
+            with pytest.raises(OSError):
+                asyncio.run(service.run(install_signal_handlers=False))
+        assert service._batcher._dispatcher is None
+
     def test_short_body_is_400_not_a_task_crash(self, service):
         import socket
 
