@@ -3,9 +3,13 @@
 Every benchmark regenerates one experiment row-set from DESIGN.md's
 per-experiment index (E1-E12).  Besides the pytest-benchmark timing
 table, each experiment emits a human-readable table through
-:func:`report`, which both prints it (visible with ``pytest -s`` and in
-piped logs) and persists it under ``benchmarks/results/<experiment>.txt``
-so EXPERIMENTS.md can cite stable artifacts.
+:func:`report`, which always prints it (visible with ``pytest -s`` and
+in piped logs) and, when ``REPRO_BENCH_RECORD=1`` is set, persists it
+under ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can cite
+stable artifacts.  Without the variable a test run writes no tracked
+file::
+
+    REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest -q benchmarks/
 
 Each report is *also* persisted as machine-readable JSON
 (``benchmarks/results/BENCH_<experiment>.json``, one schema for every
@@ -25,6 +29,10 @@ import re
 from typing import Iterable, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: Set to ``1`` to (re)write the result files; unset, :func:`report`
+#: only prints.
+RECORD_ENV = "REPRO_BENCH_RECORD"
 
 __all__ = ["report", "format_table", "parse_report", "BENCH_SCHEMA"]
 
@@ -182,14 +190,15 @@ def parse_report(experiment: str, title: str, lines: Sequence[str]) -> dict:
 
 
 def report(experiment: str, title: str, lines: Iterable[str]) -> None:
-    """Print and persist one experiment's table (stamped with the engine
-    backend and host so result files record how they were produced).
+    """Print one experiment's table (stamped with the engine backend and
+    host so result files record how they were produced), and persist it
+    only when ``REPRO_BENCH_RECORD=1``, so a plain test run never
+    rewrites the committed rows.
 
     Persists twice: the human-readable aligned table as
     ``<experiment>.txt`` and the same content as machine-readable
     ``BENCH_<experiment>.json`` (see :func:`parse_report`).
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     lines = list(lines)
     body = [f"== {experiment}: {title} =="]
     body.extend(lines)
@@ -197,6 +206,9 @@ def report(experiment: str, title: str, lines: Iterable[str]) -> None:
     body.append(_host_stamp())
     text = "\n".join(body)
     print("\n" + text)
+    if os.environ.get(RECORD_ENV) != "1":
+        return
+    os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -435,7 +435,6 @@ def _cmd_serve(args, out: TextIO) -> int:
         queries,
         instance=instance,
         max_batch=args.batch_size,
-        max_delay=args.max_delay / 1000.0,
         config=config,
     )
     failures = 0
@@ -506,7 +505,6 @@ def _serve_network(args, ground, cset, out: TextIO) -> int:
         port=args.port,
         queue_size=args.queue_size,
         max_batch=args.batch_size,
-        max_delay=args.max_delay / 1000.0,
         on_ready=_ready,
     )
     service.serve_forever()
@@ -729,12 +727,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="microbatch bound: requests coalesced per dispatch (default 64)",
-    )
-    p.add_argument(
-        "--max-delay",
-        type=float,
-        default=2.0,
-        help="microbatch window in milliseconds (default 2)",
     )
     p.add_argument(
         "--port",

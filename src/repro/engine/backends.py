@@ -294,12 +294,6 @@ class Backend:
         """Whether some ``|values[i]| > tol`` with ``where[i]`` true."""
         raise NotImplementedError
 
-    def first_nonzero_where(
-        self, values: Table, where: np.ndarray, tol: float
-    ):
-        """Smallest ``i`` with ``where[i]`` and ``|values[i]| > tol``, else None."""
-        raise NotImplementedError
-
     def all_nonnegative(self, values: Table, tol: float) -> bool:
         """Whether every entry is ``>= -tol`` (density admissibility)."""
         raise NotImplementedError
@@ -375,12 +369,6 @@ class ExactBackend(Backend):
         # ``abs(v) > tol`` (not ``v != 0``) matches the historic scalar
         # checks, which apply the tolerance to exact values as well.
         return any(abs(values[i]) > tol for i in np.flatnonzero(where).tolist())
-
-    def first_nonzero_where(self, values: Table, where: np.ndarray, tol: float):
-        for i in np.flatnonzero(where).tolist():
-            if abs(values[i]) > tol:
-                return i
-        return None
 
     def all_nonnegative(self, values: Table, tol: float) -> bool:
         if tol == 0:
@@ -541,12 +529,6 @@ class VecExactBackend(Backend):
     ) -> bool:
         return bool(np.any(self._abs_gt_tol(values.arr, tol) & where))
 
-    def first_nonzero_where(
-        self, values: VecTable, where: np.ndarray, tol: float
-    ):
-        hits = np.flatnonzero(self._abs_gt_tol(values.arr, tol) & where)
-        return int(hits[0]) if hits.size else None
-
     def all_nonnegative(self, values: VecTable, tol: float) -> bool:
         arr = values.arr
         if arr.dtype == object or tol >= _FLOAT64_EXACT:
@@ -631,15 +613,6 @@ class FloatBackend(Backend):
         self, values: Table, where: np.ndarray, tol: float
     ) -> bool:
         return bool(np.any(np.abs(values[where]) > tol))
-
-    def first_nonzero_where(self, values: Table, where: np.ndarray, tol: float):
-        # gather first (matching any_nonzero_where): |.| runs over the
-        # masked entries only, never the full 2^n table
-        idx = np.flatnonzero(where)
-        if not idx.size:
-            return None
-        hits = np.flatnonzero(np.abs(values[idx]) > tol)
-        return int(idx[hits[0]]) if hits.size else None
 
     def all_nonnegative(self, values: Table, tol: float) -> bool:
         return bool(np.all(np.asarray(values) >= -tol))

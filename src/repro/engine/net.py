@@ -229,8 +229,10 @@ class ReproService:
     queue_size:
         Concurrent-request admission bound (backpressure): past it,
         requests are refused with 503 instead of queueing unboundedly.
-    max_batch / max_delay / cache_size:
-        Passed to the underlying :class:`ConstraintServer`.
+    max_batch / cache_size:
+        Passed to the underlying :class:`ConstraintServer`, which
+        batches drain-ready: each ``/implies`` or ``/check`` joins
+        whatever requests are already queued, never a timed window.
     on_ready:
         ``(host, port) -> None`` called once the socket is bound (the
         CLI prints the listening line from it).
@@ -251,7 +253,6 @@ class ReproService:
         port: int = 0,
         queue_size: int = 128,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         cache_size: Optional[int] = None,
         on_ready: Optional[Callable[[str, int], None]] = None,
         config=None,
@@ -285,7 +286,6 @@ class ReproService:
             constraints,
             instance=session.context,
             max_batch=max_batch,
-            max_delay=max_delay,
             cache_size=cache_size,
             config=config,
         )

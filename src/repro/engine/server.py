@@ -7,8 +7,11 @@ worse, recomputes answers that identical concurrent requests are about
 to recompute again.  :class:`ConstraintServer` puts an asyncio
 *microbatching* queue in front of the engine:
 
-1. the dispatcher sleeps until a request arrives, then drains the queue
-   for at most ``max_delay`` seconds or ``max_batch`` requests;
+1. the dispatcher sleeps until a request arrives, yields to the event
+   loop once so submitters that are already runnable can enqueue, then
+   takes only what is queued (up to ``max_batch`` requests) -- batching
+   is *drain-ready*: no timer ever holds a batch open waiting for
+   batch-mates, so a lone request is served on the next loop turn;
 2. the batch is *coalesced*: requests with equal fingerprint keys
    (:func:`repro.engine.decider.constraint_fingerprint` -- value
    identity, so equal constraints built independently coalesce) are
@@ -90,9 +93,10 @@ class ConstraintServer:
         :class:`~repro.engine.incremental.IncrementalEvalContext` or
         any object with the set-function density protocol.
         Version-keyed caching needs ``zero_version``.
-    max_batch / max_delay:
-        Microbatch bounds: a batch closes at ``max_batch`` requests or
-        after ``max_delay`` seconds past the first arrival.
+    max_batch:
+        Microbatch bound: a batch holds at most ``max_batch`` requests.
+        Batching is drain-ready -- a batch is whatever is already queued
+        when the dispatcher wakes, and no timer ever holds it open.
     cache_size:
         LRU bound on memoized answers (default: the config's budget
         when one is supplied, else 4096).
@@ -110,7 +114,6 @@ class ConstraintServer:
         constraints,
         instance=None,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         cache_size: Optional[int] = None,
         cache: Optional[ImplicationCache] = None,
         config=None,
@@ -128,7 +131,6 @@ class ConstraintServer:
         self._cset_fp = constraint_set_fingerprint(constraints)
         self._instance = instance
         self._max_batch = max_batch
-        self._max_delay = max_delay
         self._answers = _Lru(cache_size, max_bytes=16 << 20)
         self._decider_cache = cache if cache is not None else shared_cache()
         self._queue: Optional[asyncio.Queue] = None
@@ -218,22 +220,18 @@ class ConstraintServer:
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         queue = self._queue
-        loop = asyncio.get_running_loop()
         stopping = False
         while not stopping:
             item = await queue.get()
             if item is _STOP:
                 return
             batch = [item]
-            deadline = loop.time() + self._max_delay
-            while len(batch) < self._max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
+            # one bare yield lets submitters that are already runnable
+            # enqueue; then take only what is queued -- no timer, so a
+            # lone request never waits for batch-mates that won't come
+            await asyncio.sleep(0)
+            while len(batch) < self._max_batch and not queue.empty():
+                nxt = queue.get_nowait()
                 if nxt is _STOP:
                     stopping = True
                     break

@@ -59,7 +59,7 @@ class TestServeQueries:
 class TestConstraintServer:
     def test_cross_batch_memoization(self, ground, cset):
         async def scenario():
-            async with ConstraintServer(cset, max_delay=0.0005) as server:
+            async with ConstraintServer(cset) as server:
                 first = await server.implies(target(ground, "A -> C"))
                 # a later, separate batch: answered from the LRU
                 second = await server.implies(target(ground, "A -> C"))
@@ -120,9 +120,7 @@ class TestConstraintServer:
 
     def test_batch_bound_respected(self, ground, cset):
         async def scenario():
-            async with ConstraintServer(
-                cset, max_batch=2, max_delay=0.05
-            ) as server:
+            async with ConstraintServer(cset, max_batch=2) as server:
                 answers = await asyncio.gather(
                     *[server.implies(target(ground, "A -> C")) for _ in range(5)]
                 )
@@ -130,7 +128,57 @@ class TestConstraintServer:
 
         answers, stats = asyncio.run(scenario())
         assert answers == [True] * 5
-        assert stats.batches >= 3  # ceil(5 / 2)
+        # drain-ready batching is deterministic: ceil(5 / 2) batches
+        assert stats.batches == 3
+
+    def test_gathered_identical_requests_form_one_batch(self, ground, cset):
+        """Requests submitted together are all queued before the
+        dispatcher drains, so they ride one batch and one computation."""
+        n = 6
+
+        async def scenario():
+            async with ConstraintServer(cset) as server:
+                answers = await asyncio.gather(
+                    *[server.implies(target(ground, "A -> C")) for _ in range(n)]
+                )
+                return answers, server.stats
+
+        answers, stats = asyncio.run(scenario())
+        assert answers == [True] * n
+        assert stats.batches == 1
+        assert stats.coalesced == n - 1
+        assert stats.computed == 1
+
+    def test_sequential_requests_arm_no_timer(self, ground, cset):
+        """A lone request is served on the next loop turn: the
+        dispatcher never schedules a timed wait for batch-mates."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers = []
+
+            def counting(name):
+                real = getattr(loop, name)
+
+                def wrapper(*args, **kwargs):
+                    timers.append(name)
+                    return real(*args, **kwargs)
+
+                return wrapper
+
+            async with ConstraintServer(cset) as server:
+                loop.call_at = counting("call_at")
+                loop.call_later = counting("call_later")
+                try:
+                    for text in ("A -> C", "C -> A", "A -> C", "B -> C"):
+                        await server.implies(target(ground, text))
+                finally:
+                    del loop.call_at, loop.call_later
+                return timers, server.stats
+
+        timers, stats = asyncio.run(scenario())
+        assert timers == []
+        assert stats.batches == 4
 
     def test_query_before_start_raises(self, ground, cset):
         server = ConstraintServer(cset)
@@ -178,7 +226,7 @@ class TestConstraintServer:
         coalesced group is also a cache hit."""
 
         async def scenario():
-            async with ConstraintServer(cset, max_delay=0.005) as server:
+            async with ConstraintServer(cset) as server:
                 t = target(ground, "A -> C")
                 await server.implies(t)  # computed, now cached
                 await asyncio.gather(*[server.implies(t) for _ in range(3)])

@@ -230,9 +230,7 @@ def test_server_answers_match_direct_decide(data):
     ]
 
     async def scenario():
-        async with ConstraintServer(
-            cset, instance=live, max_delay=0.0005
-        ) as server:
+        async with ConstraintServer(cset, instance=live) as server:
             implied = await asyncio.gather(
                 *[server.implies(t) for t in targets]
             )

@@ -111,9 +111,6 @@ def test_masked_helpers_agree(values, where, tol):
     assert VEC_EXACT.any_nonzero_where(vec, where, tol) == (
         EXACT.any_nonzero_where(exact, where, tol)
     )
-    assert VEC_EXACT.first_nonzero_where(vec, where, tol) == (
-        EXACT.first_nonzero_where(exact, where, tol)
-    )
     assert VEC_EXACT.all_nonnegative(vec, tol) == (
         EXACT.all_nonnegative(exact, tol)
     )

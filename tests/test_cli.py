@@ -385,6 +385,23 @@ class TestServe:
         assert code == 2
         assert "error" in text
 
+    def test_removed_max_delay_exits_2(
+        self, constraint_file, query_file, capsys
+    ):
+        """Batching is drain-ready: the microbatch window and its knob
+        are gone from every layer, not ignored."""
+        from repro.engine import ConstraintServer, ReproService
+
+        with pytest.raises(SystemExit) as err:
+            _run(["serve", constraint_file, query_file, "--max-delay", "2"])
+        assert err.value.code == 2
+        assert "--max-delay" in capsys.readouterr().err
+        _, cset = parse_constraint_file(["ABC", "A -> B"])
+        with pytest.raises(TypeError, match="max_delay"):
+            ConstraintServer(cset, max_delay=0.002)
+        with pytest.raises(TypeError, match="max_delay"):
+            ReproService(cset, max_delay=0.002)
+
 
 class TestStreamDurable:
     def test_replay_resumes_across_runs(self, constraint_file, tmp_path):
