@@ -83,7 +83,7 @@ def _engine_stamp() -> str:
 
 def _effective_cpus() -> int:
     """The CPU budget of *this process* (affinity/quota-aware), matching
-    ``repro.engine.calibrate.effective_cpus`` without requiring repro on
+    ``repro.engine.plan.effective_cpus`` without requiring repro on
     the path (the drift checker imports this module standalone)."""
     try:
         affinity = len(os.sched_getaffinity(0))
@@ -95,7 +95,7 @@ def _effective_cpus() -> int:
 def _host_stamp() -> str:
     """One line recording the hardware/python the numbers came from.
 
-    Parallel experiments (E17's worker scaling in particular) are only
+    Parallel experiments (E21's fleet worker scaling in particular) are only
     interpretable relative to the CPU budget of the machine that ran
     them, so every result file records it -- the *effective* budget
     (CPU affinity, container quotas), not the raw core count, since

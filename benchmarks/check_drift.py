@@ -214,7 +214,7 @@ _LOWER_BETTER = ("slowdown", "overhead", "ratio", "latency")
 
 def _effective_cpus() -> int:
     """Affinity/quota-aware CPU budget (mirrors
-    ``repro.engine.calibrate.effective_cpus``; duplicated so the checker
+    ``repro.engine.plan.effective_cpus``; duplicated so the checker
     keeps working without repro on ``sys.path``)."""
     try:
         affinity = len(os.sched_getaffinity(0))

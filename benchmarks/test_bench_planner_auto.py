@@ -3,7 +3,7 @@
 Three workload shapes mirror the engine benchmarks: E5's implication
 queries (one constraint set, many ``decide`` calls), E16's streaming
 transactions (delta-maintained constraint monitoring), and a loaded
-evaluation loop (the ``E17-scaleout`` shape: delta bursts followed by
+evaluation loop (the ``loaded`` shape: delta bursts followed by
 verdict + support probes over a seeded instance).  For each shape,
 every hand-tunable configuration a user could pin is timed, then
 ``engine=auto`` (the planner's choice for the measured workload on
@@ -238,24 +238,24 @@ class TestPlannerAuto:
             seed[mask] = seed.get(mask, 0) + 1
         bursts = _stream_ops(N_SCALE, SCALE_ROUNDS, 1702)
         probes = [rng.randrange(1 << N_SCALE) for _ in range(4)]
-        e17_configs = {
+        loaded_configs = {
             "incremental": EngineConfig(
                 engine="incremental", backend="float"
             ),
         }
-        e17 = {
+        loaded = {
             label: _time_scale(
                 c_ground, c_constraints, seed, bursts, probes, cfg
             )
-            for label, cfg in e17_configs.items()
+            for label, cfg in loaded_configs.items()
         }
-        best_scale = max(e17, key=e17.get)
+        best_loaded = max(loaded, key=loaded.get)
         # the planner's decision for this shape's descriptor is
         # host-independent: a streaming workload is always incremental
         auto_plan = planner.plan(workloads[2])
         auto_cfg = EngineConfig(engine="auto", backend="float")
         self._emit(
-            rows, ratios, "E17-scaleout", "rounds/s", e17,
+            rows, ratios, "loaded", "rounds/s", loaded,
             _time_scale(
                 c_ground, c_constraints, seed, bursts, probes, auto_cfg
             ),
@@ -265,7 +265,7 @@ class TestPlannerAuto:
             ),
             lambda: _time_scale(
                 c_ground, c_constraints, seed, bursts, probes,
-                e17_configs[best_scale],
+                loaded_configs[best_loaded],
             ),
         )
 

@@ -12,8 +12,7 @@ reason about constraint files without writing Python:
     workload -- tier and backend -- and, with ``--explain``, the
     cost-model reasoning line by line.  Every engine subcommand shares
     the same ``--engine auto|scalar|batched|incremental`` selection;
-    ``--backend`` pins the numeric backend (a deprecated alias, kept
-    because it is the only CLI way to pin one).
+    the planner resolves the numeric backend.
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -78,7 +77,6 @@ from repro.core import (
 from repro.engine.plan import (
     EngineConfig,
     Plan,
-    Planner,
     TIERS,
     Workload,
     build_context,
@@ -133,26 +131,17 @@ def _read(path: str) -> List[str]:
         return fh.read().splitlines()
 
 
-def engine_config_from_args(args, err: Optional[TextIO] = None) -> EngineConfig:
+def engine_config_from_args(args) -> EngineConfig:
     """One :class:`EngineConfig` from the shared ``engine`` argparse
     group -- the single place CLI engine flags become configuration.
 
     ``--engine`` requests a tier (``auto`` lets the planner choose);
-    the ``--backend`` alias keeps working as a pinned knob but prints
-    a deprecation notice on ``err``.  Durability flags
+    the planner resolves the backend.  Durability flags
     (``--data-dir``/``--snapshot-every``/``--fsync``) ride along when
     the subcommand has them.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None and err is not None:
-        print(
-            "# deprecated: --backend -- prefer --engine "
-            "and the planner (see 'repro plan --explain')",
-            file=err,
-        )
     return EngineConfig(
         engine=getattr(args, "engine", "auto"),
-        backend=backend,
         durable=getattr(args, "data_dir", None),
         snapshot_every=getattr(args, "snapshot_every", None),
         fsync=getattr(args, "fsync", "always"),
@@ -169,7 +158,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 
     ground, cset = parse_constraint_file(_read(args.file))
     target = DifferentialConstraint.parse(ground, args.target)
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     plan = default_planner().plan(
         Workload(n=ground.size, constraints=len(cset), queries=1), config
     )
@@ -198,7 +187,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 def _cmd_plan(args, out: TextIO) -> int:
     """``repro plan [--explain]``: show the planner's resolution."""
     ground, cset = parse_constraint_file(_read(args.file))
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     density_size = 0
     streaming = False
     if args.baskets:
@@ -214,16 +203,6 @@ def _cmd_plan(args, out: TextIO) -> int:
         queries=0 if streaming else 1,
     )
     planner = default_planner()
-    if args.calibrate or args.recalibrate:
-        from repro.engine.calibrate import ensure_profile
-
-        profile = ensure_profile(recalibrate=args.recalibrate)
-        planner = Planner.calibrated(profile)
-        print(
-            f"# calibration: host profile at {profile.path} "
-            f"(measured {profile.created}, {profile.cpus} effective CPU(s))",
-            file=out,
-        )
     plan = planner.plan(workload, config)
     if args.explain:
         print(plan.explain(), file=out)
@@ -326,7 +305,7 @@ def _cmd_stream(args, out: TextIO) -> int:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
         density = db.multiset_counts()
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     session = cset.stream_session(density=density, config=config)
     print(_engine_stamp_line(session.plan), file=out)
     if args.data_dir and session.transactions:
@@ -404,7 +383,7 @@ def _cmd_serve(args, out: TextIO) -> int:
             "as a network service)"
         )
     queries = parse_query_file(ground, _read(args.queries))
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     instance = None
     if args.baskets:
         basket_ground, db = parse_basket_file(_read(args.baskets))
@@ -460,7 +439,7 @@ def _serve_network(args, ground, cset, out: TextIO) -> int:
     from repro.engine.net import ReproService
     from repro.engine.stream import StreamSession
 
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     ship_to = getattr(args, "ship_to", None)
     if ship_to:
         if not args.data_dir:
@@ -632,19 +611,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print the planner's reasoning, one line per decision",
-    )
-    p.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="plan with measured host thresholds: load the per-host "
-        "profile (micro-benchmarking this machine on first use; "
-        "persisted under ~/.cache/repro/ or $REPRO_CALIBRATION)",
-    )
-    p.add_argument(
-        "--recalibrate",
-        action="store_true",
-        help="force a fresh host measurement even if a valid profile "
-        "exists (implies --calibrate)",
     )
     _add_engine_flags(p)
     p.set_defaults(run=_cmd_plan)
@@ -866,7 +832,7 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     """The shared engine-selection group (one definition, every
-    subcommand): ``--engine`` plus the deprecated ``--backend`` alias."""
+    subcommand): ``--engine``."""
     grp = p.add_argument_group(
         "engine",
         "evaluation-engine selection: request a tier with --engine and "
@@ -878,13 +844,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default="auto",
         choices=("auto",) + TIERS,
         help="evaluation tier (default: auto -- the planner chooses "
-        "from the workload shape and host CPUs)",
-    )
-    grp.add_argument(
-        "--backend",
-        default=None,
-        choices=["exact", "exact-vec", "float"],
-        help="[deprecated alias] pin the numeric backend",
+        "from the workload shape)",
     )
 
 

@@ -52,6 +52,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 from repro.core import subsets as sb
 from repro.core.constraint import DifferentialConstraint
 from repro.core.constraint_set import ConstraintSet
+from repro.engine.plan import default_planner
 from repro.errors import NotApplicableError
 
 __all__ = [
@@ -69,19 +70,6 @@ __all__ = [
 ]
 
 Constraints = Union[ConstraintSet, Iterable[DifferentialConstraint]]
-
-_PLANNER = None
-
-
-def _auto_planner():
-    """The engine planner behind ``method="auto"`` (import deferred like
-    the rest of the engine, then cached -- auto dispatch is per query)."""
-    global _PLANNER
-    if _PLANNER is None:
-        from repro.engine.plan import default_planner
-
-        _PLANNER = default_planner()
-    return _PLANNER
 
 
 def _as_constraint_set(
@@ -107,7 +95,7 @@ def decide(
     cset = _as_constraint_set(constraints, target)
     cset.ground.check_same(target.ground)
     if method == "auto":
-        method, _why = _auto_planner().decide_method(
+        method, _why = default_planner().decide_method(
             cset.ground.size, fd_fragment=in_fd_fragment(cset, target)
         )
     if method == "engine":
@@ -152,7 +140,7 @@ def find_uncovered_engine(
     if not cset.ground.is_dense_capable():
         # the dense-limit error and the auto heuristic share one brain:
         # the refusal names the plan the planner would have picked
-        suggested, why = _auto_planner().decide_method(
+        suggested, why = default_planner().decide_method(
             cset.ground.size,
             fd_fragment=in_fd_fragment(cset, target),
         )

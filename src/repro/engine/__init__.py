@@ -17,17 +17,13 @@ replaces three scalar hot paths with table-at-a-time computation:
   fingerprints;
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
-* :mod:`repro.engine.calibrate` -- the host calibrator: affinity-aware
-  :func:`effective_cpus`, micro-benchmarked butterfly costs persisted
-  as a versioned per-host :class:`HostProfile`, and the measured
-  planner threshold derived from them (opt-in via
-  ``REPRO_CALIBRATION``; disabled keeps plans deterministic);
 * :mod:`repro.engine.plan` -- the unified planner: :class:`EngineConfig`
   (one configuration object: tier request, backend, durability, cache
   budgets), :class:`Planner` (the explicit cost model mapping workload
   shape to a :class:`Plan` over the scalar, batched and incremental
-  tiers), and :func:`build_context`, the single factory every consumer
-  constructs evaluation contexts through;
+  tiers), :func:`build_context`, the single factory every consumer
+  constructs evaluation contexts through, and the affinity-aware
+  :func:`effective_cpus` the fleet sizing consults;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
   delta-maintained density/support/differential tables (``O(2^n)`` per
   row delta instead of ``O(n * 2^n)`` rebuilds) with per-delta
@@ -84,14 +80,6 @@ from repro.engine.batch import (
     lattice_table,
     superset_indicator,
 )
-from repro.engine.calibrate import (
-    HostProfile,
-    calibration_mode,
-    effective_cpus,
-    ensure_profile,
-    load_profile,
-    measure_profile,
-)
 from repro.engine.context import EvalContext, default_context
 from repro.engine.plan import (
     EngineConfig,
@@ -101,6 +89,7 @@ from repro.engine.plan import (
     build_context,
     default_fleet_workers,
     default_planner,
+    effective_cpus,
     plan_of_context,
 )
 from repro.engine.incremental import (
@@ -175,12 +164,6 @@ __all__ = [
     "joint_lattice_table",
     "lattice_table",
     "superset_indicator",
-    "HostProfile",
-    "calibration_mode",
-    "effective_cpus",
-    "ensure_profile",
-    "load_profile",
-    "measure_profile",
     "EvalContext",
     "default_context",
     "EngineConfig",
@@ -190,6 +173,7 @@ __all__ = [
     "build_context",
     "default_fleet_workers",
     "default_planner",
+    "effective_cpus",
     "plan_of_context",
     "IncrementalEvalContext",
     "add_on_subsets",

@@ -55,7 +55,6 @@ __all__ = [
     "FLOAT",
     "backend_by_name",
     "backend_for_table",
-    "calibration_values",
     "iter_subset_masks",
     "subset_indicator",
     "subset_index_array",
@@ -641,23 +640,3 @@ def backend_for_table(values: Sequence) -> Backend:
     if isinstance(values, VecTable):
         return VEC_EXACT
     return FLOAT if isinstance(values, np.ndarray) else EXACT
-
-
-def calibration_values(n: int, seed: int = 0x5EED) -> List[int]:
-    """A deterministic ``2^n`` int table for timing the butterflies.
-
-    The host calibrator (:mod:`repro.engine.calibrate`) races
-    :class:`ExactBackend` against :class:`VecExactBackend` on identical
-    inputs; a fixed LCG stream keeps the workload reproducible across
-    runs without dragging :mod:`random` state into the measurement.
-    Values stay small enough that no butterfly pass can trigger the
-    int64 promotion path, so both backends do comparable work.
-    """
-    if n < 0:
-        raise ValueError(f"calibration table needs n >= 0, got {n}")
-    out: List[int] = []
-    state = seed & 0x7FFFFFFF
-    for _ in range(1 << n):
-        state = (1103515245 * state + 12345) & 0x7FFFFFFF
-        out.append(state % 1000)
-    return out

@@ -12,8 +12,9 @@ to be threaded ad hoc through the library:
   and blocked tables between queries -- the process-wide shared cache
   unless a private one is requested.
 
-The CLI's ``--backend {exact,float}`` flag constructs one of these and
-hands it down; library callers mostly rely on :func:`default_context`.
+The planner's :func:`~repro.engine.plan.build_context` constructs one
+of these from a resolved plan; library callers mostly rely on
+:func:`default_context`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ path            method  body -> response
 ==============  ======  ====================================================
 ``/healthz``    GET     -> ``{"status", "transactions", "violated", ...}``
 ``/stats``      GET     -> microbatching counters + session state + the
-                        resolved engine plan (tier/backend, durability,
-                        calibration)
+                        resolved engine plan (tier/backend, durability)
 ``/implies``    POST    ``{"constraint": "A -> B, CD"}`` -> ``{"implied"}``
 ``/check``      POST    ``{"constraint": ...}`` -> ``{"satisfied"}``
 ``/delta``      POST    ``{"ops": ["+ AB 3", "- C"]}`` (one transaction,
@@ -406,7 +405,6 @@ class ReproService:
             stats["inflight"] = self._inflight
             # the resolved engine plan the service is running
             stats["engine"] = self._session.plan.as_dict()
-            stats["engine"]["calibration"] = self._session.calibration
             return 200, stats
         if method != "POST":
             return 405, {"error": f"{method} not allowed on {path}"}

@@ -14,8 +14,8 @@ top of the incremental one.  Policy lives in one place and flows
 * :class:`Workload` describes the job: ground-set size ``n``, constraint
   count, expected delta rate, live-density size and query count.
 * :class:`Planner` maps ``(Workload, EngineConfig)`` to a :class:`Plan`
-  through an explicit, documented cost model (thresholds are instance
-  attributes, overridable for tests and unusual hosts).
+  through an explicit, documented cost model whose thresholds are fixed
+  class constants.
 * :func:`build_context` is the **only** place evaluation contexts are
   constructed from a plan; every consumer (CLI, stream sessions, basket
   databases, FD checkers, the network service) routes through it.
@@ -65,10 +65,10 @@ Like the rest of the engine this module imports nothing from
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.engine.calibrate import effective_cpus
 from repro.engine.context import EvalContext
 from repro.engine.incremental import DEFAULT_TOLERANCE
 from repro.errors import PlanError
@@ -82,6 +82,7 @@ __all__ = [
     "build_context",
     "default_fleet_workers",
     "default_planner",
+    "effective_cpus",
     "plan_of_context",
 ]
 
@@ -196,9 +197,8 @@ class Plan:
 
 
 class Planner:
-    """The cost model.  Thresholds are instance attributes so tests (and
-    unusual deployments) can move every boundary; the defaults encode
-    the measured crossovers from the E5/E16/E20 benchmarks.
+    """The cost model.  Its thresholds are fixed class constants that
+    encode the measured crossovers from the E5/E16/E20 benchmarks.
     """
 
     #: Ground sets this small have at most two subsets: stay scalar.
@@ -218,25 +218,6 @@ class Planner:
     #: worker process pins (at most) one core, so the fleet size is
     #: CPU-bound.
     FLEET_MAX_WORKERS = 8
-
-    def __init__(self, profile=None, **overrides):
-        #: The measured :class:`~repro.engine.calibrate.HostProfile`
-        #: behind this planner's thresholds, or ``None`` for the stock
-        #: (assumed) cost model.  Plans built with a profile carry
-        #: measured-vs-assumed reason lines; without one the output is
-        #: byte-identical to the uncalibrated planner's.
-        self.profile = profile
-        for name, value in overrides.items():
-            if not hasattr(type(self), name) or name.startswith("_"):
-                raise PlanError(f"unknown planner threshold {name!r}")
-            setattr(self, name, value)
-
-    @classmethod
-    def calibrated(cls, profile) -> "Planner":
-        """A planner whose thresholds come from a measured
-        :class:`~repro.engine.calibrate.HostProfile` (bars the profile
-        cannot derive keep the class defaults)."""
-        return cls(profile=profile, **profile.thresholds())
 
     # ------------------------------------------------------------------
     def plan(self, workload: Workload, config: Optional[EngineConfig] = None) -> Plan:
@@ -303,35 +284,9 @@ class Planner:
                 "are cheap and lossless at this size"
             )
 
-        if self.profile is not None:
-            reasons.extend(self._calibration_reasons())
-
         return Plan(
             tier=tier, backend=backend, config=config, reasons=tuple(reasons)
         )
-
-    def _calibration_reasons(self):
-        """The measured-vs-assumed lines ``plan --explain`` prints when
-        the planner runs on a :class:`~repro.engine.calibrate.HostProfile`:
-        which bars the host measurement moved (and from where), which
-        still ride on the stock constants."""
-        defaults = type(self)
-        measured = set(self.profile.thresholds())
-
-        def bar(name: str) -> str:
-            value = getattr(self, name)
-            if name in measured:
-                return (
-                    f"{name.lower()}={value} measured "
-                    f"(assumed {getattr(defaults, name)})"
-                )
-            return f"{name.lower()}={value} assumed"
-
-        names = ("VEC_MIN_N", "VEC_STREAM_MIN_N", "FLOAT_MIN_N")
-        return [
-            f"calibration: {self.profile.describe()}",
-            "calibration: " + ", ".join(bar(name) for name in names),
-        ]
 
     def _resolve_tier(self, workload, config, reasons) -> str:
         n = workload.n
@@ -404,35 +359,26 @@ class Planner:
 
 _DEFAULT_PLANNER = Planner()
 
-#: Calibrated planners cached per resolved profile path, so flipping
-#: ``REPRO_CALIBRATION`` between values (hermetic tests do) cannot
-#: leak one host profile into another's planner.
-_CALIBRATED_PLANNERS: dict = {}
-
 
 def default_planner() -> Planner:
-    """The process-wide planner.
+    """The process-wide planner: the stock cost model, so plans are
+    fully deterministic."""
+    return _DEFAULT_PLANNER
 
-    With calibration disabled (``REPRO_CALIBRATION`` unset/off -- the
-    default, and what CI runs with) this is the stock cost model and
-    plans are fully deterministic.  With it enabled, the per-host
-    profile is loaded (measured on first use) and the returned planner
-    carries thresholds fitted to this machine; a failed calibration
-    warns and falls back to the stock planner.
+
+def effective_cpus() -> int:
+    """The CPU budget available to *this process*, not the whole box.
+
+    ``os.sched_getaffinity(0)`` reflects CPU pinning (taskset, cpuset
+    cgroups, container ``--cpuset-cpus``), which ``os.cpu_count()``
+    ignores; platforms without it (macOS, Windows) fall back to
+    ``os.cpu_count()``.  Always at least 1.
     """
-    from repro.engine import calibrate
-
-    key = calibrate.calibration_mode()
-    if key is None:
-        return _DEFAULT_PLANNER
-    planner = _CALIBRATED_PLANNERS.get(key)
-    if planner is None:
-        profile = calibrate.active_profile()
-        planner = (
-            _DEFAULT_PLANNER if profile is None else Planner.calibrated(profile)
-        )
-        _CALIBRATED_PLANNERS[key] = planner
-    return planner
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        affinity = 0
+    return affinity or os.cpu_count() or 1
 
 
 def default_fleet_workers(cpus: Optional[int] = None) -> int:
@@ -440,7 +386,7 @@ def default_fleet_workers(cpus: Optional[int] = None) -> int:
 
     One :class:`~repro.engine.net.ReproService` event loop saturates
     one core, so the natural fleet size is the affinity-aware
-    :func:`~repro.engine.calibrate.effective_cpus` count, capped at
+    :func:`effective_cpus` count, capped at
     :attr:`Planner.FLEET_MAX_WORKERS` (past the cap extra processes
     only add restart surface and memory).  Pass ``cpus`` to plan for a
     different host.

@@ -48,7 +48,6 @@ from repro.engine.incremental import (
 from repro.engine.plan import (
     EngineConfig,
     Plan,
-    Planner,
     Workload,
     build_context,
     default_planner,
@@ -173,13 +172,11 @@ class StreamSession:
         fsync: str = "always",
         retain: int = 2,
         config: Optional[EngineConfig] = None,
-        planner: Optional[Planner] = None,
     ):
         config = _session_config(
             config, tol, snapshot_every, fsync, private_cache
         )
         self._config = config
-        self._planner = planner if planner is not None else default_planner()
         constraints = tuple(constraints)
         if config.snapshot_every is not None and config.snapshot_every < 1:
             raise ValueError(
@@ -209,7 +206,7 @@ class StreamSession:
                 # session.config must describe the session as it runs:
                 # consumers forward it to build sibling components
                 self._config = config
-        self._plan = self._planner.plan(
+        self._plan = default_planner().plan(
             Workload(
                 n=ground.size,
                 constraints=len(constraints),
@@ -392,23 +389,6 @@ class StreamSession:
     def plan(self) -> Plan:
         """The plan this session runs on."""
         return self._plan
-
-    @property
-    def planner(self) -> Planner:
-        """The planner this session was resolved by."""
-        return self._planner
-
-    @property
-    def calibration(self) -> dict:
-        """The host calibration behind this session's planner (surfaced
-        in the service's ``/stats`` engine block): ``{"enabled": False}``
-        for the stock cost model, else the measured profile's digest."""
-        profile = getattr(self._planner, "profile", None)
-        if profile is None:
-            return {"enabled": False}
-        summary = profile.summary()
-        summary["enabled"] = True
-        return summary
 
     @property
     def ground(self):

@@ -21,7 +21,6 @@ __all__ = [
     "CorruptSnapshotError",
     "WalGapError",
     "PlanError",
-    "CalibrationWarning",
 ]
 
 
@@ -96,17 +95,6 @@ class PlanError(ReproError, ValueError):
     """Raised by the engine planner when a requested configuration is
     unsatisfiable (e.g. a forced live tier over a ground set too large
     for dense tables, or contradictory pinned knobs)."""
-
-
-class CalibrationWarning(UserWarning):
-    """Category for host-calibration fallbacks (:mod:`repro.engine.calibrate`).
-
-    A damaged, stale or foreign per-host profile never crashes and is
-    never silently reused: the calibrator warns with this category,
-    names the reason, and re-measures the host from scratch.  The same
-    category flags a calibration attempt that could not persist its
-    profile (the measured thresholds still apply for the process).
-    """
 
 
 class NotImpliedError(ReproError):

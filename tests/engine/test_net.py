@@ -54,10 +54,8 @@ class TestWireProtocol:
         assert stats["engine"]["tier"] == "incremental"
         assert stats["engine"]["backend"] == "exact"
         assert stats["engine"]["durable"] is False
-        # the engine block names the plan and the calibration, nothing else
-        assert set(stats["engine"]) == {
-            "tier", "backend", "durable", "calibration"
-        }
+        # the engine block names the plan, nothing else
+        assert set(stats["engine"]) == {"tier", "backend", "durable"}
 
     def test_boot_from_one_engine_config(self, cset):
         handle = ReproService(
@@ -414,7 +412,3 @@ class TestOverloadRetry:
         # exactly one wire attempt: replaying a transaction that might
         # have been applied would double-commit it
         assert wedged._refused == before + 1
-
-    def test_stats_surface_the_calibration_state(self, service):
-        stats = service.client().stats()
-        assert stats["engine"]["calibration"] == {"enabled": False}

@@ -15,7 +15,6 @@ from repro.engine import (
     EngineConfig,
     EvalContext,
     IncrementalEvalContext,
-    Planner,
     StreamSession,
     Workload,
     build_context,
@@ -29,9 +28,8 @@ from repro.relational import StreamingFDChecker
 from repro.relational.fd import FunctionalDependency
 
 
-def plan_for(planner=None, config=None, **workload):
-    planner = planner or default_planner()
-    return planner.plan(Workload(**workload), config)
+def plan_for(config=None, **workload):
+    return default_planner().plan(Workload(**workload), config)
 
 
 class TestCostModelBoundaries:
@@ -155,8 +153,6 @@ class TestForcedTiersAndValidation:
             EngineConfig(cache_size=0)
         with pytest.raises(PlanError):
             Workload(n=-1)
-        with pytest.raises(PlanError):
-            Planner(NO_SUCH_THRESHOLD=1)
 
 class TestBuildContext:
     def test_factory_returns_the_plan_tier(self):
@@ -279,23 +275,23 @@ class TestAffinityAwareCpuDetection:
     pinning and container quotas (the fleet sizes itself from it)."""
 
     def test_effective_cpus_prefers_affinity(self, monkeypatch):
-        from repro.engine import calibrate
+        from repro.engine import plan
 
         monkeypatch.setattr(
-            calibrate.os, "sched_getaffinity", lambda pid: {0, 1},
+            plan.os, "sched_getaffinity", lambda pid: {0, 1},
             raising=False,
         )
-        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 16)
-        assert calibrate.effective_cpus() == 2
+        monkeypatch.setattr(plan.os, "cpu_count", lambda: 16)
+        assert plan.effective_cpus() == 2
 
     def test_effective_cpus_falls_back_to_cpu_count(self, monkeypatch):
-        from repro.engine import calibrate
+        from repro.engine import plan
 
         def unavailable(pid):
             raise OSError("no affinity syscall on this platform")
 
         monkeypatch.setattr(
-            calibrate.os, "sched_getaffinity", unavailable, raising=False
+            plan.os, "sched_getaffinity", unavailable, raising=False
         )
-        monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 3)
-        assert calibrate.effective_cpus() == 3
+        monkeypatch.setattr(plan.os, "cpu_count", lambda: 3)
+        assert plan.effective_cpus() == 3

@@ -75,34 +75,12 @@ class TestImplies:
             )
             assert code == 0
 
-    def test_backend_flag(self, constraint_file):
-        for backend in ("exact", "float"):
-            code, text = _run(
-                ["implies", constraint_file, "A -> C", "--backend", backend]
-            )
-            assert code == 0
-            assert "IMPLIED" in text and "NOT" not in text
-            # the witness re-check runs on the selected backend
-            code, text = _run(
-                [
-                    "implies", constraint_file, "C -> A",
-                    "--backend", backend, "--method", "engine",
-                    "--counterexample",
-                ]
-            )
-            assert code == 1
-            assert f"witness checked on the {backend} backend: ok" in text
-
     def test_counterexample_without_backend_checks_exact(self, constraint_file):
         code, text = _run(
             ["implies", constraint_file, "C -> A", "--counterexample"]
         )
         assert code == 1
         assert "witness checked on the exact backend: ok" in text
-
-    def test_backend_rejects_unknown(self, constraint_file):
-        with pytest.raises(SystemExit):
-            _run(["implies", constraint_file, "A -> C", "--backend", "decimal"])
 
     def test_bad_file(self):
         code, text = _run(["implies", "/nonexistent/file", "A -> B"])
@@ -134,20 +112,19 @@ class TestPlan:
         assert code == 0
         assert "plan: tier=incremental, backend=exact\n" in text
 
-    def test_deprecated_aliases_still_pin(self, constraint_file, capsys):
-        code, text = _run(["plan", constraint_file, "--backend", "float"])
-        assert code == 0
-        assert "backend=float" in text
-        # the deprecation notice goes to stderr, not the report
-        assert "deprecated" not in text
-        assert "deprecated" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command", ["implies", "plan", "stream", "serve"]
     )
     @pytest.mark.parametrize(
         "flags",
-        [["--engine", "sharded"], ["--shards", "2"], ["--workers", "2"]],
+        [
+            ["--engine", "sharded"],
+            ["--shards", "2"],
+            ["--workers", "2"],
+            ["--backend", "float"],
+            ["--calibrate"],
+            ["--recalibrate"],
+        ],
     )
     def test_removed_engine_flags_exit_2(
         self, command, flags, constraint_file, log_file, query_file, capsys
@@ -265,10 +242,6 @@ class TestStream:
     def test_output_stamped_with_engine_config(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
         assert "# engine: tier=incremental, backend=exact\n" in text
-        _, text = _run(
-            ["stream", constraint_file, log_file, "--backend", "float"]
-        )
-        assert "# engine: tier=incremental, backend=float\n" in text
 
     def test_replay_reports_flips(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
@@ -292,10 +265,9 @@ class TestStream:
         log = tmp_path / "log.txt"
         log.write_text("- AB\n- AB\n- C\n- BC\ncommit\n")
         code, text = _run(
-            ["stream", constraint_file, str(log), "--baskets", basket_file,
-             "--backend", "float"]
+            ["stream", constraint_file, str(log), "--baskets", basket_file]
         )
-        assert "# engine: tier=incremental, backend=float\n" in text
+        assert "# engine: tier=incremental, backend=exact\n" in text
         # the AB baskets violate B -> C at seed time (A -> B holds)
         assert "seeded 5 rows; 1/2 constraints violated" in text
         # removing every basket except ABC restores it

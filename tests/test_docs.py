@@ -104,8 +104,8 @@ class TestArchitecture:
         with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md")) as fh:
             text = fh.read()
         for module in ("batch", "backends", "decider", "context", "plan",
-                       "calibrate", "incremental", "stream", "server",
-                       "persist", "net", "quota", "fleet"):
+                       "incremental", "stream", "server", "persist",
+                       "net", "quota", "fleet"):
             assert f"repro.engine.{module}" in text, module
 
 
