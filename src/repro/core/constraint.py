@@ -172,7 +172,7 @@ class DifferentialConstraint:
 
         ``semantics="density"`` (Definition 3.1, the paper's default):
         ``d_f`` vanishes on all of ``L(X, Y)``.  Dense functions are
-        checked by the batched engine -- one vectorized sweep of the
+        checked by the batched engine -- one numpy sweep of the
         density table against the cached ``L(X, Y)`` bitset.  Sparse
         functions iterate their *nonzero density entries* and test
         lattice membership, costing ``O(nnz * |Y|)``.

@@ -105,8 +105,8 @@ def differential_apply_delta(table, family: SetFamily, mask: int, delta):
     Proposition 2.9 makes the differential linear in the density, so a
     delta at ``mask`` adds ``delta`` at every subset position -- unless
     some member of ``Y`` is contained in ``mask``, in which case ``mask``
-    is outside every ``L(X, Y)`` and the table is untouched.  ``O(2^n)``
-    (vectorized) per delta instead of the ``O(n * 2^n)`` rebuild of
+    is outside every ``L(X, Y)`` and the table is untouched.  One numpy
+    subset add per delta instead of the ``O(n * 2^n)`` rebuild of
     :func:`differential_function`; the incremental engine applies the
     same rule to its live tables.
     """

@@ -86,7 +86,7 @@ def lattice_bitset(
 ) -> np.ndarray:
     """``L(X, Y)`` as a boolean numpy table over all ``2^|S|`` masks.
 
-    Computed by the batched engine: a vectorized superset indicator
+    Computed by the batched engine: a whole-table superset indicator
     minus the family's upward-closed *blocked* table, ``O(n * 2^n)``
     bit operations instead of ``2^n`` interpreted membership tests.
     """

@@ -4,7 +4,8 @@ Two concrete representations are provided:
 
 :class:`SetFunction`
     A *dense* table of ``2^|S|`` values (numpy float64, or exact Python
-    numbers when ``exact=True``).  Supports the full transform machinery
+    numbers in the exact backend's int64/object table when
+    ``exact=True``).  Supports the full transform machinery
     of :mod:`repro.core.transforms`; this is the workhorse for ground sets
     up to ~20 elements.
 
@@ -62,9 +63,12 @@ class SetFunction:
     values:
         A sequence of ``2^|S|`` values indexed by subset mask.
     exact:
-        When ``True`` the values are kept as exact Python numbers in a
-        list and all transforms run in exact arithmetic; when ``False``
-        (default) the values live in a ``numpy.float64`` array.
+        When ``True`` the values are kept as exact Python numbers (in
+        the exact backend's :class:`~repro.engine.backends.VecTable`:
+        int64 storage that promotes to object dtype before it could
+        overflow) and all transforms run in exact arithmetic; when
+        ``False`` (default) the values live in a ``numpy.float64``
+        array.
     """
 
     __slots__ = ("_ground", "_values", "_exact", "_density_cache")
@@ -152,9 +156,9 @@ class SetFunction:
             mask = key if isinstance(key, int) else ground.parse(key)
             ground._check_mask(mask)
             table[mask] = table[mask] + val
-        if not exact:
-            table = np.asarray(table, dtype=np.float64)
-        transforms.superset_zeta_inplace(table)
+        backend = EXACT if exact else FLOAT
+        table = backend.adopt(table)
+        backend.superset_zeta_inplace(table)
         return cls(ground, table, exact=exact)
 
     # ------------------------------------------------------------------
@@ -184,9 +188,10 @@ class SetFunction:
         return self.value(self._ground.parse(subset))
 
     def table(self):
-        """The raw value table (a copy)."""
+        """The raw value table (a copy): a list of python numbers when
+        exact, else a float64 array."""
         if self._exact:
-            return list(self._values)
+            return self._values.tolist()
         return self._values.copy()
 
     # ------------------------------------------------------------------
@@ -205,9 +210,7 @@ class SetFunction:
 
     def density_items(self) -> Iterator[Tuple[int, Number]]:
         """Iterate ``(mask, d_f(mask))`` over subsets with nonzero density."""
-        dens = self.density()
-        for mask in self._ground.all_masks():
-            v = dens.value(mask)
+        for mask, v in enumerate(self.density()._values.tolist()):
             if v != 0:
                 yield mask, v
 
@@ -227,9 +230,9 @@ class SetFunction:
 
         The streaming hook (equation (5) is linear in the density): the
         value table gets ``delta`` added at every subset position of
-        ``mask`` -- ``O(2^|mask|)`` scalar / one vectorized masked add --
-        instead of being rebuilt by an ``O(n * 2^n)`` transform.  The
-        cached density (if materialized) is patched point-wise.
+        ``mask`` -- one numpy subset add -- instead of being rebuilt
+        by an ``O(n * 2^n)`` transform.  The cached density (if
+        materialized) is patched point-wise.
         """
         from repro.engine.incremental import add_on_subsets
 
@@ -256,11 +259,14 @@ class SetFunction:
         if self._ground != other._ground:
             raise GroundSetMismatchError("set functions over different ground sets")
         if self._exact and other._exact:
-            vals = [op(a, b) for a, b in zip(self._values, other._values)]
+            vals = [
+                op(a, b)
+                for a, b in zip(self._values.tolist(), other._values.tolist())
+            ]
             return SetFunction(self._ground, vals, exact=True)
-        a = np.asarray(self._values, dtype=np.float64)
-        b = np.asarray(other._values, dtype=np.float64)
-        return SetFunction(self._ground, op(a, b))
+        return SetFunction(
+            self._ground, op(self._float_values(), other._float_values())
+        )
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -271,9 +277,11 @@ class SetFunction:
     def __mul__(self, scalar: Number) -> "SetFunction":
         if self._exact:
             return SetFunction(
-                self._ground, [v * scalar for v in self._values], exact=True
+                self._ground,
+                [v * scalar for v in self._values.tolist()],
+                exact=True,
             )
-        return SetFunction(self._ground, np.asarray(self._values) * float(scalar))
+        return SetFunction(self._ground, self._values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -284,9 +292,17 @@ class SetFunction:
         """Whether two functions agree up to absolute tolerance ``tol``."""
         if self._ground != other._ground:
             return False
-        a = np.asarray(self._values, dtype=np.float64)
-        b = np.asarray(other._values, dtype=np.float64)
-        return bool(np.allclose(a, b, atol=tol, rtol=0.0))
+        return bool(
+            np.allclose(
+                self._float_values(), other._float_values(), atol=tol, rtol=0.0
+            )
+        )
+
+    def _float_values(self) -> np.ndarray:
+        """The values as a float64 array (exact tables are converted)."""
+        if self._exact:
+            return np.asarray(self._values.arr, dtype=np.float64)
+        return self._values
 
     def __repr__(self) -> str:
         n = self._ground.size

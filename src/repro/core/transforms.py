@@ -17,15 +17,17 @@ oracle for the test suite.
 The butterflies themselves live in :mod:`repro.engine.backends`, where
 each storage mode is a first-class backend:
 
-* ``numpy.ndarray`` of floats -- vectorized butterflies
+* ``numpy.ndarray`` of floats -- numpy strided butterflies
   (:class:`~repro.engine.backends.FloatBackend`, the fast path);
-* plain Python ``list`` of exact numbers (``int``, ``Fraction``) --
-  pure-Python butterflies preserving exactness
+* exact numbers (``int``, ``Fraction``) in a
+  :class:`~repro.engine.backends.VecTable` or a plain Python ``list``
+  -- the same strided butterflies over int64 storage that promotes
+  to object dtype before it could overflow
   (:class:`~repro.engine.backends.ExactBackend`), used when constraints
   must be checked without floating-point tolerance.
 
-The functions here dispatch on the table's type, so existing callers are
-unchanged.
+The functions here dispatch on the table's type.  A plain list is
+transformed in place and keeps python-number entries.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.core import subsets as sb
-from repro.engine.backends import backend_for_table, n_bits_for
+from repro.engine.backends import EXACT, VecTable, backend_for_table, n_bits_for
 
 __all__ = [
     "superset_zeta_inplace",
@@ -49,12 +51,24 @@ __all__ = [
     "table_size_for",
 ]
 
-Table = Union[np.ndarray, List]
+Table = Union[np.ndarray, List, VecTable]
 
 
 def table_size_for(n_elements: int) -> int:
     """Number of entries in a dense table over a ground set of size ``n``."""
     return 1 << n_elements
+
+
+def _inplace(op: str, values: Table) -> None:
+    """Run the backend butterfly ``op`` on ``values`` in place; a plain
+    list round-trips through an exact table and is rewritten with the
+    python-number results."""
+    if isinstance(values, list):
+        table = EXACT.copy(values)
+        getattr(EXACT, op)(table)
+        values[:] = table.tolist()
+    else:
+        getattr(backend_for_table(values), op)(values)
 
 
 def superset_zeta_inplace(values: Table) -> None:
@@ -63,7 +77,7 @@ def superset_zeta_inplace(values: Table) -> None:
     Implements equation (5): applied to a density table it yields the
     function table.
     """
-    backend_for_table(values).superset_zeta_inplace(values)
+    _inplace("superset_zeta_inplace", values)
 
 
 def superset_mobius_inplace(values: Table) -> None:
@@ -72,7 +86,7 @@ def superset_mobius_inplace(values: Table) -> None:
     Implements equation (4): applied to a function table it yields the
     density table ``d_f``.
     """
-    backend_for_table(values).superset_mobius_inplace(values)
+    _inplace("superset_mobius_inplace", values)
 
 
 def subset_zeta_inplace(values: Table) -> None:
@@ -82,13 +96,13 @@ def subset_zeta_inplace(values: Table) -> None:
     mass table it yields the belief function (Section 8's pointer to the
     Dempster-Shafer theory, made executable in :mod:`repro.measures`).
     """
-    backend_for_table(values).subset_zeta_inplace(values)
+    _inplace("subset_zeta_inplace", values)
 
 
 def subset_mobius_inplace(values: Table) -> None:
     """In-place subset Moebius transform (inverse of the subset zeta);
     recovers a mass table from a belief table."""
-    backend_for_table(values).subset_mobius_inplace(values)
+    _inplace("subset_mobius_inplace", values)
 
 
 def density_table(values: Sequence) -> Table:
@@ -140,4 +154,6 @@ def naive_zeta_table(density: Sequence) -> list:
 def _copy(values: Sequence) -> Table:
     if isinstance(values, np.ndarray):
         return values.astype(np.float64, copy=True)
+    if isinstance(values, VecTable):
+        return EXACT.copy(values)
     return list(values)

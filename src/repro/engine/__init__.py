@@ -6,14 +6,13 @@ replaces three scalar hot paths with table-at-a-time computation:
 
 * :mod:`repro.engine.backends` -- the storage split as first-class
   :class:`Backend` objects owning the zeta/Moebius butterflies: exact
-  (python lists), vectorized exact (int64 ndarrays with
-  overflow-checked promotion to object dtype) and float (numpy
-  float64);
+  (int64 ndarrays with overflow-checked promotion to object dtype) and
+  float (numpy float64);
 * :mod:`repro.engine.batch` -- ``D_f^Y(X)`` for *all* ``X`` in one
   ``O(n * 2^n)`` pass (Proposition 2.9 as a masked zeta transform), and
   boolean lattice tables for ``L(X, Y)`` / ``L(C)``;
 * :mod:`repro.engine.decider` -- Theorem 3.5 containment decided by
-  vectorized table operations, memoized across queries by structural
+  whole-table numpy operations, memoized across queries by structural
   fingerprints;
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
@@ -25,9 +24,9 @@ replaces three scalar hot paths with table-at-a-time computation:
   constructs evaluation contexts through, and the affinity-aware
   :func:`effective_cpus` the fleet sizing consults;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
-  delta-maintained density/support/differential tables (``O(2^n)`` per
-  row delta instead of ``O(n * 2^n)`` rebuilds) with per-delta
-  constraint-violation detection;
+  a sparse live density with delta-maintained support/differential
+  views (one subset add per row delta instead of ``O(n * 2^n)``
+  rebuilds) and per-delta constraint-violation detection;
 * :mod:`repro.engine.stream` -- :class:`StreamSession`, the
   transactional surface (batch of deltas -> newly violated / restored
   constraints) and the transaction-log format behind ``repro stream``;
@@ -62,11 +61,9 @@ paper-facing API is unchanged.
 from repro.engine.backends import (
     EXACT,
     FLOAT,
-    VEC_EXACT,
     Backend,
     ExactBackend,
     FloatBackend,
-    VecExactBackend,
     VecTable,
     backend_by_name,
     backend_for_table,
@@ -149,11 +146,9 @@ from repro.engine.decider import (
 __all__ = [
     "Backend",
     "ExactBackend",
-    "VecExactBackend",
     "FloatBackend",
     "VecTable",
     "EXACT",
-    "VEC_EXACT",
     "FLOAT",
     "backend_by_name",
     "backend_for_table",

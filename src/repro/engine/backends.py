@@ -8,25 +8,19 @@ logic across :mod:`repro.core.setfunction`, :mod:`repro.core.transforms`
 and :mod:`repro.core.lattice`.  This module centralizes that split:
 
 :class:`ExactBackend`
-    Tables are plain python lists; arithmetic is exact (``int``,
-    ``fractions.Fraction`` -- anything with ``+``/``-``).  Used when
-    constraints must be checked without floating-point tolerance.
-
-:class:`VecExactBackend`
     Tables are :class:`VecTable` wrappers over numpy ``int64`` arrays;
     butterflies are the same strided adds as the float backend, but
-    arithmetic stays exact through an overflow-checked promotion
-    ladder: ``int64`` array -> object-dtype array (python ints /
-    Fractions, still vectorized through numpy's object loops) -- the
-    plain list path of :class:`ExactBackend` remains the fallback for
-    callers that never adopt a :class:`VecTable`.  Promotion happens
-    *before* any add that could leave ``int64``, so exactness is never
-    silently lost; non-int values (Fractions) route straight to object
-    dtype.
+    arithmetic stays exact (``int``, ``fractions.Fraction``): an
+    overflow-checked promotion switches ``int64`` storage to an
+    object-dtype array (python ints / Fractions, still looped in C by
+    numpy's object ufuncs) *before* any add that could leave
+    ``int64``, so exactness is never silently lost; non-int values
+    (Fractions) route straight to object dtype.  Used when constraints
+    must be checked without floating-point tolerance.
 
 :class:`FloatBackend`
-    Tables are ``numpy.float64`` arrays; butterflies are vectorized
-    strided adds -- the fast lossy path.
+    Tables are ``numpy.float64`` arrays; butterflies are numpy strided
+    adds -- the fast lossy path.
 
 All expose the same small interface (allocate, copy, scatter, the four
 zeta/Moebius butterflies, masked zeroing/comparisons and the per-delta
@@ -47,11 +41,9 @@ import numpy as np
 __all__ = [
     "Backend",
     "ExactBackend",
-    "VecExactBackend",
     "FloatBackend",
     "VecTable",
     "EXACT",
-    "VEC_EXACT",
     "FLOAT",
     "backend_by_name",
     "backend_for_table",
@@ -138,7 +130,7 @@ def _exact_array(values: Sequence) -> np.ndarray:
     entry is an in-range int, object dtype otherwise (Fractions, big
     ints).  Never silently truncates -- floats go to object dtype too,
     mirroring what a python list would store."""
-    lst = list(values)
+    lst = values.tolist() if isinstance(values, np.ndarray) else list(values)
     if all(type(v) is int for v in lst):
         try:
             return np.array(lst, dtype=np.int64)
@@ -152,10 +144,9 @@ def _exact_array(values: Sequence) -> np.ndarray:
 class VecTable:
     """A dense exact table: an int64 ndarray until overflow threatens.
 
-    The promotion ladder's middle rung: reads hand back plain python
-    numbers (so ``list(table)`` equals the :class:`ExactBackend` list
-    bit for bit), writes that do not fit int64 promote the storage to
-    an object-dtype array in place.
+    Reads hand back plain python numbers (so ``list(table)`` equals the
+    python-number table bit for bit), writes that do not fit int64
+    promote the storage to an object-dtype array in place.
     """
 
     __slots__ = ("arr",)
@@ -214,10 +205,6 @@ class Backend:
 
     name: str = "abstract"
     exact: bool = False
-    #: Whether masked slice arithmetic is the fast path; vectorized
-    #: backends receive a precomputed subset indicator in
-    #: :meth:`add_on_subsets_inplace` instead of the scalar subset walk.
-    vectorized: bool = False
 
     # -- allocation ----------------------------------------------------
     def zeros(self, size: int) -> Table:
@@ -276,11 +263,9 @@ class Backend:
         position).  ``where`` may pass a precomputed
         :func:`subset_indicator` (bool mask, dense deltas) or
         :func:`subset_index_array` (index array, sparse deltas) so
-        vectorized backends share it across several tables; scalar
-        backends walk the ``2^|mask|`` subsets either way.
+        callers can share it across several tables.
         """
-        for sub in iter_subset_masks(mask):
-            values[sub] = values[sub] + delta
+        raise NotImplementedError
 
     # -- masked elementwise helpers ------------------------------------
     def zero_where(self, values: Table, where: np.ndarray) -> None:
@@ -302,94 +287,19 @@ class Backend:
 
 
 class ExactBackend(Backend):
-    """Python-list tables over exact numbers (``int``, ``Fraction``)."""
-
-    name = "exact"
-    exact = True
-
-    def zeros(self, size: int) -> list:
-        return [0] * size
-
-    def full(self, size: int, value) -> list:
-        return [value] * size
-
-    def copy(self, values: Sequence) -> list:
-        if isinstance(values, np.ndarray):
-            # .tolist() already builds a fresh list of python scalars
-            return values.tolist()
-        return list(values)
-
-    def adopt(self, values: Sequence) -> list:
-        if isinstance(values, list):
-            return values
-        return self.copy(values)
-
-    def superset_zeta_inplace(self, values: Table) -> None:
-        n = n_bits_for(len(values))
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(len(values)):
-                if not mask & bit:
-                    values[mask] = values[mask] + values[mask | bit]
-
-    def superset_mobius_inplace(self, values: Table) -> None:
-        n = n_bits_for(len(values))
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(len(values)):
-                if not mask & bit:
-                    values[mask] = values[mask] - values[mask | bit]
-
-    def subset_zeta_inplace(self, values: Table) -> None:
-        n = n_bits_for(len(values))
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(len(values)):
-                if mask & bit:
-                    values[mask] = values[mask] + values[mask ^ bit]
-
-    def subset_mobius_inplace(self, values: Table) -> None:
-        n = n_bits_for(len(values))
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(len(values)):
-                if mask & bit:
-                    values[mask] = values[mask] - values[mask ^ bit]
-
-    def zero_where(self, values: Table, where: np.ndarray) -> None:
-        # one .tolist() hands back python ints; indexing with np.int64
-        # scalars would re-box on every store
-        for i in np.flatnonzero(where).tolist():
-            values[i] = 0
-
-    def any_nonzero_where(
-        self, values: Table, where: np.ndarray, tol: float
-    ) -> bool:
-        # ``abs(v) > tol`` (not ``v != 0``) matches the historic scalar
-        # checks, which apply the tolerance to exact values as well.
-        return any(abs(values[i]) > tol for i in np.flatnonzero(where).tolist())
-
-    def all_nonnegative(self, values: Table, tol: float) -> bool:
-        if tol == 0:
-            return all(v >= 0 for v in values)
-        return all(v >= -tol for v in values)
-
-
-class VecExactBackend(Backend):
-    """:class:`VecTable` storage: exact arithmetic, vectorized transforms.
+    """:class:`VecTable` storage: exact arithmetic, numpy strided transforms.
 
     The butterflies run as the same strided slice adds as
     :class:`FloatBackend`; before each level a headroom check promotes
     int64 storage to object dtype if any entry's magnitude could leave
-    int64 after one add, so results equal :class:`ExactBackend`'s bit
-    for bit on every input (property-tested).  Object-dtype arrays keep
-    the slice-add shape -- numpy loops ``PyNumber_Add`` in C, which
-    still beats the pure-python double loop.
+    int64 after one add, so results equal python-number arithmetic bit
+    for bit on every input (property-tested against the ``O(4^n)``
+    oracles).  Object-dtype arrays keep the slice-add shape -- numpy
+    loops ``PyNumber_Add`` in C, which still beats a pure-python loop.
     """
 
-    name = "exact-vec"
+    name = "exact"
     exact = True
-    vectorized = True
 
     def zeros(self, size: int) -> VecTable:
         return VecTable(np.zeros(size, dtype=np.int64))
@@ -478,12 +388,12 @@ class VecExactBackend(Backend):
                 if _fits_int64(delta):
                     d = int(delta)
                     touched = arr[idx]
-                    # exact python-int bounds on the touched entries only
-                    if (
-                        int(touched.min()) + d >= _INT64_MIN
-                        and int(touched.max()) + d <= _INT64_MAX
-                    ):
-                        arr[idx] = touched + d
+                    shifted = touched + d
+                    # an int64 add wrapped iff some entry moved against
+                    # the delta's sign: one compare, no min/max passes
+                    wrapped = shifted < touched if d > 0 else shifted > touched
+                    if not wrapped.any():
+                        arr[idx] = shifted
                         return
                 values.promote()
                 arr = values.arr
@@ -538,11 +448,10 @@ class VecExactBackend(Backend):
 
 
 class FloatBackend(Backend):
-    """``numpy.float64`` tables with vectorized strided butterflies."""
+    """``numpy.float64`` tables with numpy strided butterflies."""
 
     name = "float"
     exact = False
-    vectorized = True
 
     def zeros(self, size: int) -> np.ndarray:
         return np.zeros(size)
@@ -619,14 +528,13 @@ class FloatBackend(Backend):
 
 #: Shared singletons -- backends are stateless.
 EXACT = ExactBackend()
-VEC_EXACT = VecExactBackend()
 FLOAT = FloatBackend()
 
-_BY_NAME = {"exact": EXACT, "exact-vec": VEC_EXACT, "float": FLOAT}
+_BY_NAME = {"exact": EXACT, "float": FLOAT}
 
 
 def backend_by_name(name: str) -> Backend:
-    """Look up ``"exact"`` / ``"exact-vec"`` / ``"float"``."""
+    """Look up ``"exact"`` / ``"float"``."""
     try:
         return _BY_NAME[name]
     except KeyError:
@@ -636,7 +544,7 @@ def backend_by_name(name: str) -> Backend:
 
 
 def backend_for_table(values: Sequence) -> Backend:
-    """The backend that owns a given table's storage mode."""
-    if isinstance(values, VecTable):
-        return VEC_EXACT
+    """The backend that owns a given table's storage mode: float64
+    ndarrays are :data:`FLOAT`'s, everything else (a :class:`VecTable`
+    or a plain list of exact numbers) is :data:`EXACT`'s."""
     return FLOAT if isinstance(values, np.ndarray) else EXACT

@@ -65,7 +65,7 @@ def blocked_table(n: int, members: Sequence[int]) -> np.ndarray:
     """Boolean table ``B[U] = [some member is a subset of U]``.
 
     Computed as a subset-zeta of the member indicator: an upward closure
-    over the subset order, ``O(n * 2^n)`` vectorized bit-ors.
+    over the subset order, ``O(n * 2^n)`` whole-array bit-ors.
     """
     table = np.zeros(1 << n, dtype=bool)
     for m in members:

@@ -3,11 +3,11 @@
 An ``EvalContext`` bundles the two pieces of evaluation policy that used
 to be threaded ad hoc through the library:
 
-* which numeric **backend** tables are computed on (``"exact"`` python
-  numbers or ``"float"`` numpy float64), previously an ``exact`` bool
-  duplicated across call sites -- ``backend=None`` (the default) infers
-  the backend from each operand's own storage, preserving the historic
-  behavior;
+* which numeric **backend** tables are computed on (``"exact"`` int64
+  tables promoting to python numbers, or ``"float"`` numpy float64),
+  previously an ``exact`` bool duplicated across call sites --
+  ``backend=None`` (the default) infers the backend from each operand's
+  own storage, preserving the historic behavior;
 * which :class:`~repro.engine.decider.ImplicationCache` memoizes lattice
   and blocked tables between queries -- the process-wide shared cache
   unless a private one is requested.

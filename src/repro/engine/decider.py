@@ -5,7 +5,7 @@ Theorem 3.5 reduces ``C |= X -> Y`` to the containment
 python, testing each mask against every constraint of ``C`` -- ``O(2^n)``
 interpreter iterations per query.  Here both sides become boolean numpy
 tables (:func:`repro.engine.batch.lattice_table`) and containment is one
-vectorized ``any(target & ~covered)``.
+whole-table ``any(target & ~covered)``.
 
 Workloads like the E1/E5 benchmarks and ``cli implies`` / ``mine`` ask
 many queries against the same ``C`` (or against sets sharing most
@@ -198,7 +198,7 @@ def shared_cache() -> ImplicationCache:
 def decide_batched(
     cset, target, cache: Optional[ImplicationCache] = None
 ) -> bool:
-    """``C |= target`` via vectorized table containment."""
+    """``C |= target`` via whole-table containment."""
     return find_uncovered_batched(cset, target, cache) is None
 
 

@@ -14,9 +14,16 @@ density untouched.  All maintained tables are linear in the density
 
 so a delta of ``delta`` at mask ``U`` updates them by adding ``delta``
 to *every subset position of ``U``* -- skipped entirely for a
-differential table whose family blocks ``U``.  That is ``O(2^n)``
-vectorized work per row (``O(2^|U|)`` scalar work on the exact backend)
-instead of an ``O(n * 2^n)`` rebuild per table.
+differential table whose family blocks ``U``.  That is one numpy
+``2^|U|`` gather/scatter (a masked ``2^n`` add for wide deltas) per
+materialized table instead of an ``O(n * 2^n)`` rebuild per table.
+
+The live density itself is sparse: a ``{mask: value}`` dict holding
+the exactly-nonzero entries, so a delta costs one dict update whatever
+the backend, and the state grows with the number of distinct masks,
+not with ``2^n``.  Dense tables are views built on request
+(:meth:`IncrementalEvalContext.density_table` scatters a fresh one;
+the support and differential tables are maintained once materialized).
 
 Constraint monitoring is cheaper still.  Under the paper's density
 semantics (Definition 3.1) ``f |= X -> Y`` iff ``d_f`` vanishes on
@@ -91,11 +98,6 @@ def _affects(constraint, mask: int) -> bool:
     return constraint.lattice_contains(mask)
 
 
-# re-exported for compatibility: the subset walk lives with the
-# backends now (it is the scalar half of ``add_on_subsets_inplace``)
-_subset_indicator = subset_indicator
-
-
 def add_on_subsets(
     table: Table,
     mask: int,
@@ -109,8 +111,8 @@ def add_on_subsets(
     (unblocked) differential tables are sums of the density over masks
     *above* each position, so one density delta touches exactly the
     subset positions of its mask.  ``where`` may pass a precomputed
-    subset indicator (vectorized backends) to share it across several
-    tables.  Delegates to
+    subset indicator or index array to share it across several tables.
+    Delegates to
     :meth:`~repro.engine.backends.Backend.add_on_subsets_inplace`.
     """
     if backend is None:
@@ -156,9 +158,8 @@ class IncrementalEvalContext(EvalContext):
         Differential constraints to monitor; more can be added with
         :meth:`track`.
     backend:
-        ``"exact"`` (default -- streaming counts are integers),
-        ``"exact-vec"`` (exact on int64/object ndarrays, vectorized
-        per-delta updates) or ``"float"``.
+        ``"exact"`` (default -- streaming counts are integers; views
+        are int64 ndarrays with object-dtype promotion) or ``"float"``.
     tol:
         Absolute tolerance deciding ``d_f(U) == 0``.
 
@@ -177,7 +178,6 @@ class IncrementalEvalContext(EvalContext):
         "_support",
         "_diffs",
         "_nonzero",
-        "_support_nnz",
         "_constraints",
         "_viol_counts",
         "_violated",
@@ -208,16 +208,15 @@ class IncrementalEvalContext(EvalContext):
         self._ground = ground
         self._n = ground.size
         self._tol = tol
-        self._density = backend.zeros(1 << self._n)
+        #: the exactly-nonzero density entries -- drives the set-function
+        #: protocol (``value`` / ``density_items``), which must agree
+        #: with the live tables even for sub-tolerance residues.
+        self._density: Dict[int, Number] = {}
         self._support: Optional[Table] = None
         self._diffs: Dict[Tuple[int, ...], Table] = {}
         #: masks with ``abs(d_f) > tol`` -- drives constraint statuses
         #: and the zero set (Definition 3.1's tolerance semantics).
         self._nonzero: set = set()
-        #: masks with ``d_f != 0`` *exactly* -- drives the set-function
-        #: protocol (``value`` / ``density_items``), which must agree
-        #: with the live tables even for sub-tolerance residues.
-        self._support_nnz: set = set()
         self._constraints: List = []
         self._viol_counts: List[int] = []
         self._violated: set = set()
@@ -265,9 +264,9 @@ class IncrementalEvalContext(EvalContext):
             v = self._support[mask]
             return v if self.exact else float(v)
         total = 0
-        for u in self._support_nnz:
+        for u, v in self._density.items():
             if u & mask == mask:
-                total = total + self._density[u]
+                total = total + v
         return total if self.exact else float(total)
 
     def __call__(self, subset) -> Number:
@@ -276,42 +275,45 @@ class IncrementalEvalContext(EvalContext):
     def density_value(self, mask: int) -> Number:
         """The maintained density at one subset ``mask``."""
         self._check_mask(mask)
-        v = self._density[mask]
-        return v if self.exact else float(v)
+        return self._density.get(mask, 0 if self.exact else 0.0)
 
     def density_items(self) -> Iterator[Tuple[int, Number]]:
         """Iterate the exactly-nonzero ``(mask, density)`` entries.
 
         Matches :meth:`repro.core.setfunction.SetFunction.density_items`
-        (and the live :meth:`density_table`): entries below the
-        tolerance but not exactly zero are still yielded, so rebuilding
-        from these items reproduces the maintained tables bit for bit.
+        (and :meth:`density_table`): entries below the tolerance but
+        not exactly zero are still yielded, so rebuilding from these
+        items reproduces the maintained tables bit for bit.
         """
-        for mask in sorted(self._support_nnz):
-            yield mask, self.density_value(mask)
+        density = self._density
+        # sorting the int keys alone is much cheaper than sorting
+        # (mask, value) tuples
+        for mask in sorted(density):
+            yield mask, density[mask]
 
     def support_size(self) -> int:
         """Number of nonzero density entries (sparse-function protocol)."""
-        return len(self._support_nnz)
+        return len(self._density)
 
     def is_nonnegative_density(self, tol: Optional[float] = None) -> bool:
         """Whether the maintained density is everywhere ``>= -tol``."""
         tol = self._tol if tol is None else tol
-        return all(self._density[u] >= -tol for u in self._support_nnz)
+        return all(v >= -tol for v in self._density.values())
 
     # ------------------------------------------------------------------
     # live tables
     # ------------------------------------------------------------------
     def density_table(self) -> Table:
-        """The live density table.  Read-only by convention: mutate only
-        through :meth:`apply_delta` / :meth:`apply_batch`."""
-        return self._density
+        """A fresh dense ``2^n`` view of the density (the live state is
+        the sparse dict; mutate it only through :meth:`apply_delta` /
+        :meth:`apply_batch`)."""
+        return self.backend.scatter(1 << self._n, self._density.items())
 
     def support_table(self) -> Table:
         """The live support table ``f`` (materialized on first call, then
         maintained under deltas)."""
         if self._support is None:
-            self._support = self.backend.copy(self._density)
+            self._support = self.density_table()
             self.backend.superset_zeta_inplace(self._support)
         return self._support
 
@@ -324,7 +326,7 @@ class IncrementalEvalContext(EvalContext):
         members = tuple(family.members)
         table = self._diffs.get(members)
         if table is None:
-            table = self.backend.copy(self._density)
+            table = self.density_table()
             batch.differential_table(table, members, self.backend)
             self._diffs[members] = table
         return table
@@ -395,12 +397,12 @@ class IncrementalEvalContext(EvalContext):
         """``Z(f)`` -- cached, invalidated only on zero crossings."""
         if tol is not None and tol != self._tol:
             # a foreign tolerance can resolve residues below self._tol
-            # (absent from _nonzero), so scan the full density table
+            # (absent from _nonzero), so test every mask's density
             density = self._density
             return frozenset(
                 m
                 for m in range(1 << self._n)
-                if not abs(density[m]) > tol
+                if not abs(density.get(m, 0)) > tol
             )
         if self._zero_cache is None or self._zero_cache[0] != self._zero_version:
             zeros = frozenset(
@@ -415,23 +417,22 @@ class IncrementalEvalContext(EvalContext):
     def apply_delta(self, mask: int, delta: Number) -> List[Tuple[object, bool]]:
         """Apply one density delta; returns the status flips it caused.
 
-        Each flip is ``(constraint, now_violated)``.  Cost: ``O(2^n)``
-        vectorized (float) or ``O(2^|mask|)`` scalar (exact) for each
-        materialized table, plus ``O(|Y|)`` per tracked constraint when
-        the entry crosses zero -- no table is ever rebuilt.
+        Each flip is ``(constraint, now_violated)``.  Cost: one dict
+        update, one numpy subset add per materialized table, plus
+        ``O(|Y|)`` per tracked constraint when the entry crosses zero --
+        no table is ever rebuilt.
         """
         self._check_mask(mask)
         if delta == 0:
             return []
-        old = self._density[mask]
+        old = self._density.get(mask, 0)
         new = old + delta if self.exact else float(old) + float(delta)
-        self._density[mask] = new
+        if new == 0:
+            self._density.pop(mask, None)
+        else:
+            self._density[mask] = new
         self._update_tables(mask, delta)
 
-        if new == 0:
-            self._support_nnz.discard(mask)
-        else:
-            self._support_nnz.add(mask)
         was_nonzero = mask in self._nonzero
         now_nonzero = abs(new) > self._tol
         if was_nonzero == now_nonzero:
@@ -489,7 +490,7 @@ class IncrementalEvalContext(EvalContext):
         """Point update: make ``d_f(mask)`` equal ``value`` (an *update*
         row op, vs the insert/delete deltas)."""
         self._check_mask(mask)
-        current = self._density[mask]
+        current = self._density.get(mask, 0)
         return self.apply_delta(mask, value - current)
 
     def _update_tables(self, mask: int, delta: Number) -> None:
@@ -502,17 +503,15 @@ class IncrementalEvalContext(EvalContext):
                 targets.append(table)
         if not targets:
             return
-        # vectorized backends turn dense deltas into one masked slice
-        # add and sparse deltas -- the streaming common case -- into a
-        # 2^|mask| gather/scatter; either way the indicator/index array
-        # is computed once here and shared across all the tables
-        where = None
-        if self.backend.vectorized:
-            where = (
-                subset_indicator(self._n, mask)
-                if dense_delta(self._n, mask)
-                else subset_index_array(mask)
-            )
+        # dense deltas become one masked slice add and sparse deltas --
+        # the streaming common case -- a 2^|mask| gather/scatter; either
+        # way the indicator/index array is computed once here and
+        # shared across all the tables
+        where = (
+            subset_indicator(self._n, mask)
+            if dense_delta(self._n, mask)
+            else subset_index_array(mask)
+        )
         for table in targets:
             self.backend.add_on_subsets_inplace(
                 table, mask, delta, where=where

@@ -36,21 +36,12 @@ incremental Streaming instances (``streaming`` or a nonzero
             rebuilds as soon as anything changes twice.
 ========== ==========================================================
 
-Backend (``backend=`` pins it) -- a three-rung ladder: ``exact``
-(python lists) for tiny tables (``n < VEC_MIN_N`` -- python numbers
-are cheap at this size and numpy call overhead is not); ``exact-vec``
-(int64 ndarrays with overflow-checked promotion to object dtype) from
-``VEC_MIN_N`` up, where the vectorized butterflies win *without*
-giving up exactness -- it is also what ``tol == 0`` resolves to at
-those sizes, since its zero tests are exact; ``float`` once ``n >=
-FLOAT_MIN_N`` with a nonzero tolerance, where float64 butterflies are
-marginally leaner (no promotion checks) and the default tolerance
-absorbs representation error.  The bar is tier-aware: the incremental
-tier is per-delta dominated (``2^|mask|`` subset gather/scatters,
-where python lists beat numpy call overhead), so its vectorization
-bar is the higher ``VEC_STREAM_MIN_N``; batched work is
-rebuild-dominated, where the butterflies win from ``VEC_MIN_N`` up
-(E20 measures both crossovers).
+Backend (``backend=`` pins it) -- two rungs: ``exact`` (int64
+ndarrays with overflow-checked promotion to object dtype) whenever
+``tol == 0`` demands exact zero tests or ``n < FLOAT_MIN_N``; ``float``
+otherwise, where float64 butterflies are marginally leaner (no
+promotion checks) and the nonzero tolerance absorbs representation
+error (E20 measures both rebuilds).
 
 Implication methods reuse the same brain: :meth:`Planner.decide_method`
 resolves ``method="auto"`` for :func:`repro.core.implication.decide`
@@ -123,12 +114,11 @@ class EngineConfig:
             )
         if self.backend is not None and self.backend not in (
             "exact",
-            "exact-vec",
             "float",
         ):
             raise PlanError(
-                f"unknown backend {self.backend!r}; expected 'exact', "
-                "'exact-vec' or 'float'"
+                f"unknown backend {self.backend!r}; expected 'exact' "
+                "or 'float'"
             )
         if self.fsync not in ("always", "never"):
             raise PlanError(
@@ -203,14 +193,6 @@ class Planner:
 
     #: Ground sets this small have at most two subsets: stay scalar.
     SCALAR_MAX_N = 1
-    #: From here up, the vectorized exact backend's int64 butterflies
-    #: beat python-list loops (below, numpy call overhead dominates).
-    VEC_MIN_N = 8
-    #: The incremental tier's higher vectorization bar: per-delta
-    #: maintenance is 2^|mask| gather/scatter-dominated, where python
-    #: lists stay ahead until tables reach this size (the E20 per-delta
-    #: rows measure the crossover at |S| = 16: ~1.1x for exact-vec).
-    VEC_STREAM_MIN_N = 14
     #: From here up, float64 tables edge out int64+promotion checks
     #: whenever a nonzero tolerance licenses lossy storage.
     FLOAT_MIN_N = 14
@@ -235,53 +217,27 @@ class Planner:
                 "(use engine='scalar' / method='sat')"
             )
 
-        # the vectorization bar is tier-aware: incremental sessions are
-        # per-delta dominated (2^|mask| gather/scatters, where python
-        # lists beat numpy call overhead), so their bar sits higher than
-        # the rebuild-dominated batched tier's
-        vec_min = (
-            self.VEC_STREAM_MIN_N if tier == "incremental" else self.VEC_MIN_N
-        )
-        bar = (
-            f"the incremental tier's per-delta vectorization bar {vec_min}"
-            if tier == "incremental"
-            else f"the vectorization bar {vec_min}"
-        )
         backend = config.backend
         if backend is not None:
             reasons.append(f"backend={backend}: pinned by config")
         elif config.tol == 0:
-            if n >= vec_min:
-                backend = "exact-vec"
-                reasons.append(
-                    "backend=exact-vec: tol=0 demands exact zero tests; "
-                    f"|S|={n} >= {vec_min}, int64 butterflies with "
-                    "overflow-checked promotion keep them exact and fast"
-                )
-            else:
-                backend = "exact"
-                reasons.append(
-                    "backend=exact: tol=0 demands exact zero tests and "
-                    f"|S|={n} is below {bar}"
-                )
+            backend = "exact"
+            reasons.append(
+                "backend=exact: tol=0 demands exact zero tests; int64 "
+                "tables with overflow-checked promotion keep them exact"
+            )
         elif n >= self.FLOAT_MIN_N:
             backend = "float"
             reasons.append(
-                f"backend=float: |S|={n} >= {self.FLOAT_MIN_N}, vectorized "
-                f"2^n tables win and tol={config.tol:g} absorbs fp error"
-            )
-        elif n >= vec_min:
-            backend = "exact-vec"
-            reasons.append(
-                f"backend=exact-vec: {vec_min} <= |S|={n} < "
-                f"{self.FLOAT_MIN_N}, vectorized int64 butterflies win "
-                "while staying exact (object-dtype promotion on overflow)"
+                f"backend=float: |S|={n} >= {self.FLOAT_MIN_N}, float64 "
+                f"2^n tables skip promotion checks and tol={config.tol:g} "
+                "absorbs fp error"
             )
         else:
             backend = "exact"
             reasons.append(
-                f"backend=exact: |S|={n} is below {bar}; python numbers "
-                "are cheap and lossless at this size"
+                f"backend=exact: |S|={n} < {self.FLOAT_MIN_N}, int64 "
+                "tables are as fast as float64 here and lossless"
             )
 
         return Plan(
@@ -350,11 +306,7 @@ class Planner:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"Planner(vec>={self.VEC_MIN_N} "
-            f"(stream>={self.VEC_STREAM_MIN_N}), "
-            f"float>={self.FLOAT_MIN_N})"
-        )
+        return f"Planner(float>={self.FLOAT_MIN_N})"
 
 
 _DEFAULT_PLANNER = Planner()

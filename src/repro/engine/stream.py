@@ -67,8 +67,16 @@ from repro.errors import PersistenceError, PlanError
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
 
 #: The config a session runs on when none is given: the incremental
-#: tier on exact python-list tables.
+#: tier on the exact backend.
 _DEFAULT_CONFIG = EngineConfig(engine="incremental", backend="exact")
+
+
+def _recorded_backend(meta: dict) -> Optional[str]:
+    """The backend a data directory's meta records, under today's name:
+    directories written while the int64 exact backend was a separate
+    rung record ``"exact-vec"``, which is now ``"exact"``."""
+    name = meta.get("backend")
+    return "exact" if name == "exact-vec" else name
 
 
 def _session_config(
@@ -200,9 +208,9 @@ class StreamSession:
         ):
             # an auto reopen inherits the directory's recorded backend
             # instead of racing the cost model against history
-            meta = self._store.meta or {}
-            if meta.get("backend") in ("exact", "exact-vec", "float"):
-                config = config.replace(backend=meta["backend"])
+            recorded = _recorded_backend(self._store.meta or {})
+            if recorded in ("exact", "float"):
+                config = config.replace(backend=recorded)
                 # session.config must describe the session as it runs:
                 # consumers forward it to build sibling components
                 self._config = config
@@ -262,7 +270,7 @@ class StreamSession:
                 f"{self._store.path}: recorded |S|={meta['n']} != "
                 f"ground set size {ground.size}"
             )
-        if meta["backend"] != self._backend_name(backend):
+        if _recorded_backend(meta) != self._backend_name(backend):
             raise PersistenceError(
                 f"{self._store.path}: recorded backend "
                 f"{meta['backend']!r} != requested "

@@ -3,7 +3,7 @@
 ``any_nonzero_where`` backs the violation checks (density scanned under
 a lattice mask), so its edge behaviour -- empty masks, masked-out hits,
 the strict ``|v| > tol`` boundary, negative entries -- is pinned here
-for all three backends.  The float backend gathers the masked entries
+for both backends.  The float backend gathers the masked entries
 before taking ``|.|`` (it must never materialize a full ``2^n`` temp);
 these tests pin that its answers agree with the naive scalar definition
 so the gather-first form can't drift.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.backends import backend_by_name
 
-BACKENDS = ["exact", "exact-vec", "float"]
+BACKENDS = ["exact", "float"]
 
 
 def make_table(backend_name, values):

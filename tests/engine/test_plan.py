@@ -61,44 +61,36 @@ class TestCostModelBoundaries:
             assert plan_for(n=n, streaming=True).tier == "incremental"
 
     def test_backend_crossover(self):
-        planner = default_planner()
-        vec, flt = planner.VEC_MIN_N, planner.FLOAT_MIN_N
-        assert plan_for(n=vec - 1, queries=1).backend == "exact"
-        assert plan_for(n=vec, queries=1).backend == "exact-vec"
-        assert plan_for(n=flt - 1, queries=1).backend == "exact-vec"
-        assert plan_for(n=flt, queries=1).backend == "float"
+        flt = default_planner().FLOAT_MIN_N
+        # two rungs: exact below the float bar, float from it up
+        for n in (0, 2, flt - 1):
+            assert plan_for(n=n, queries=1).backend == "exact"
+        for n in (flt, DENSE_LIMIT):
+            assert plan_for(n=n, queries=1).backend == "float"
 
-    def test_incremental_tier_raises_the_vectorization_bar(self):
-        planner = default_planner()
-        vec, stream_vec = planner.VEC_MIN_N, planner.VEC_STREAM_MIN_N
-        # per-delta maintenance keeps python lists ahead of numpy
-        # gather/scatter until tables are much larger (E20)
-        assert plan_for(n=vec, streaming=True).backend == "exact"
-        # with a nonzero tol the float bar takes over at the same size
-        assert plan_for(n=stream_vec, streaming=True).backend == "float"
-        # tol=0 streaming at scale gets vectorized exactness
-        plan = plan_for(
-            n=stream_vec, streaming=True, config=EngineConfig(tol=0.0)
-        )
-        assert plan.tier == "incremental" and plan.backend == "exact-vec"
+    def test_incremental_tier_shares_the_backend_rule(self):
+        flt = default_planner().FLOAT_MIN_N
+        # the live density is a sparse dict on every backend, so the
+        # streaming tier has no bar of its own
+        for n in range(DENSE_LIMIT + 1):
+            assert (
+                plan_for(n=n, streaming=True).backend
+                == plan_for(n=n, queries=1).backend
+            )
+        assert plan_for(n=flt - 1, streaming=True).backend == "exact"
+        assert plan_for(n=flt, streaming=True).backend == "float"
+        plan = plan_for(n=flt, streaming=True, config=EngineConfig(tol=0.0))
+        assert plan.tier == "incremental" and plan.backend == "exact"
 
     def test_zero_tolerance_forces_exact(self):
-        planner = default_planner()
-        # past the float bar, tol=0 still demands exactness: the
-        # vectorized exact backend keeps both
-        plan = plan_for(
-            n=planner.FLOAT_MIN_N + 2,
-            queries=1,
-            config=EngineConfig(tol=0.0),
-        )
-        assert plan.backend == "exact-vec"
-        # below the vectorization bar it stays on plain python lists
-        plan = plan_for(
-            n=planner.VEC_MIN_N - 1,
-            queries=1,
-            config=EngineConfig(tol=0.0),
-        )
-        assert plan.backend == "exact"
+        flt = default_planner().FLOAT_MIN_N
+        # past the float bar, tol=0 still demands exact zero tests
+        for n in (0, 2, flt - 1, flt, flt + 2, DENSE_LIMIT):
+            for streaming in (False, True):
+                plan = plan_for(
+                    n=n, streaming=streaming, config=EngineConfig(tol=0.0)
+                )
+                assert plan.backend == "exact"
 
     def test_pinned_backend_wins(self):
         plan = plan_for(n=4, queries=1, config=EngineConfig(backend="float"))
@@ -141,9 +133,10 @@ class TestForcedTiersAndValidation:
             EngineConfig(engine="warp")
         with pytest.raises(PlanError, match="unknown engine tier"):
             EngineConfig(engine="sharded")
-        with pytest.raises(PlanError):
-            EngineConfig(backend="decimal")
-        for ok in ("exact", "exact-vec", "float"):
+        for bad in ("decimal", "exact-vec"):
+            with pytest.raises(PlanError, match="unknown backend"):
+                EngineConfig(backend=bad)
+        for ok in ("exact", "float"):
             assert EngineConfig(backend=ok).backend == ok
         with pytest.raises(PlanError):
             EngineConfig(fsync="sometimes")
@@ -266,6 +259,46 @@ class TestDurableReopen:
         assert reopened.plan.backend == "float"
         assert reopened.config.backend == "float"
         assert reopened.context.backend.name == "float"
+        reopened.close()
+
+    @pytest.mark.parametrize("backend", [None, "exact"], ids=["auto", "exact"])
+    def test_exact_vec_directories_reopen_as_exact(self, tmp_path, backend):
+        """Directories recorded while the vectorized exact backend was a
+        separate ``"exact-vec"`` rung reopen on today's ``exact``."""
+        import json
+        import os
+
+        ground = GroundSet("ABCD")
+        theory = ConstraintSet.of(ground, "A -> B", "C -> D").constraints
+        data = str(tmp_path / "data")
+        first = StreamSession(
+            ground,
+            constraints=theory,
+            config=EngineConfig(
+                engine="incremental", backend="exact", durable=data
+            ),
+        )
+        for row in ("AB", "A", "CD", "C", "ABCD"):
+            first.insert(row)
+        density = list(first.context.density_items())
+        violated = first.context.violated_constraints()
+        first.close()
+        meta_path = os.path.join(data, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["backend"] = "exact-vec"
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+
+        config = EngineConfig(durable=data)
+        if backend is not None:
+            config = config.replace(engine="incremental", backend=backend)
+        reopened = StreamSession(ground, constraints=theory, config=config)
+        assert reopened.plan.backend == "exact"
+        assert reopened.config.backend == "exact"
+        assert reopened.context.backend.name == "exact"
+        assert list(reopened.context.density_items()) == density
+        assert reopened.context.violated_constraints() == violated
         reopened.close()
 
 

@@ -168,6 +168,36 @@ class TestIncrementalContext:
         assert ctx.support_table()[ground_abc.parse("A")] == 3
         assert ctx("AB") == 3
 
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_live_density_is_sparse_at_the_dense_limit(self, backend):
+        """The live density holds only its nonzero entries: at |S| = 22
+        a dense float64 density table alone would be 32 MB."""
+        import tracemalloc
+
+        ground = GroundSet([f"x{i}" for i in range(22)])
+        theory = ConstraintSet.of(ground, "x0 -> x1", "x2 -> x3, x4")
+        tracemalloc.start()
+        try:
+            ctx = IncrementalEvalContext(
+                ground, constraints=theory.constraints, backend=backend
+            )
+            for mask, delta in ((0b1, 2), (0b11, 1), (0b100, 3), (0b1, -2)):
+                ctx.apply_delta(mask, delta)
+            ctx.apply_delta(ground.universe_mask, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert ctx.support_size() == 3
+        assert ctx.violated_constraints() == theory.constraints[1:]
+        # the dense view is a scatter of the sparse items
+        view = ctx.density_table()
+        want = backend.scatter(1 << 22, ctx.density_items())
+        assert np.array_equal(
+            getattr(view, "arr", view), getattr(want, "arr", want)
+        )
+        assert view[0b11] == 1 and view[0b1] == 0
+
     def test_rejects_oversized_ground_sets(self):
         big = GroundSet([f"x{i}" for i in range(23)])
         with pytest.raises(ValueError):
