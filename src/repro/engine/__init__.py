@@ -138,7 +138,6 @@ from repro.engine.decider import (
     ImplicationCache,
     constraint_fingerprint,
     constraint_set_fingerprint,
-    decide_batched,
     find_uncovered_batched,
     shared_cache,
 )
@@ -204,7 +203,6 @@ __all__ = [
     "ImplicationCache",
     "constraint_fingerprint",
     "constraint_set_fingerprint",
-    "decide_batched",
     "find_uncovered_batched",
     "shared_cache",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "shared_cache",
     "constraint_fingerprint",
     "constraint_set_fingerprint",
-    "decide_batched",
     "find_uncovered_batched",
 ]
 
@@ -193,13 +192,6 @@ _SHARED = ImplicationCache()
 def shared_cache() -> ImplicationCache:
     """The process-wide cache behind :func:`default_context`."""
     return _SHARED
-
-
-def decide_batched(
-    cset, target, cache: Optional[ImplicationCache] = None
-) -> bool:
-    """``C |= target`` via whole-table containment."""
-    return find_uncovered_batched(cset, target, cache) is None
 
 
 def find_uncovered_batched(

@@ -24,7 +24,8 @@ front router that speaks the same wire protocol.  The pieces:
     and otherwise relays the request verbatim to the routed worker.
     ``/healthz`` aggregates worker health (readiness is health-gated:
     200 only when every worker answers), ``/stats`` surfaces per-worker
-    routing counts, restarts, and the quota counters.
+    routing counts, restarts, and the quota counters.  Request frame
+    and lifecycle are the worker's own (:mod:`repro.engine.net`).
 
 :class:`FleetWorker` / :class:`FleetSupervisor`
     Process supervision: spawn the worker commands, parse each one's
@@ -62,11 +63,9 @@ from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.net import (
+    HttpService,
     ServiceError,
-    ServiceHandle,
-    _HttpError,
-    _READ_TIMEOUT,
-    read_http_request,
+    serve_http_connection,
     write_http_response,
 )
 from repro.engine.persist import DurableStore
@@ -600,24 +599,16 @@ class FleetRouter:
         The worker set to route across.
     quotas:
         Per-tenant admission registry (default: unmetered).
-    ring:
-        Injectable :class:`HashRing` (default: one slot per worker).
     """
 
     def __init__(
         self,
         supervisor: FleetSupervisor,
         quotas: Optional[TenantQuotas] = None,
-        ring: Optional[HashRing] = None,
     ):
         self._supervisor = supervisor
         self._quotas = quotas if quotas is not None else TenantQuotas()
-        self._ring = ring if ring is not None else HashRing(len(supervisor))
-        if self._ring.count != len(supervisor):
-            raise ValueError(
-                f"ring spans {self._ring.count} workers but the fleet "
-                f"has {len(supervisor)}"
-            )
+        self._ring = HashRing(len(supervisor))
         self._on_stop: Optional[Callable[[], None]] = None
         self._relayed = 0
         self._throttled = 0
@@ -652,30 +643,7 @@ class FleetRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one client connection (parse, admit, route, relay)."""
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    read_http_request(reader), timeout=_READ_TIMEOUT
-                )
-                if request is None:
-                    return
-                method, path, headers, body = request
-            except asyncio.TimeoutError:
-                write_http_response(
-                    writer, 408, {"error": "request not received in time"}
-                )
-                return
-            except _HttpError as err:
-                write_http_response(writer, err.status, {"error": err.message})
-                return
-            await self._dispatch(writer, method, path, headers, body)
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await serve_http_connection(reader, writer, self._dispatch)
 
     async def _dispatch(
         self, writer, method: str, path: str, headers: dict, body: dict
@@ -836,14 +804,14 @@ class FleetRouter:
 # ----------------------------------------------------------------------
 # the composed service
 # ----------------------------------------------------------------------
-class FleetService:
-    """Router + supervisor with the :class:`ReproService` lifecycle.
-
-    Duck-types the single-process service's surface -- ``run()``,
-    ``serve_forever()``, ``start_in_thread()``, ``request_stop()``,
-    ``host``/``port`` -- so :class:`~repro.engine.net.ServiceHandle`,
-    the benchmark harness and the CLI treat one worker and a fleet the
-    same way.
+class FleetService(HttpService):
+    """Router + supervisor on the :class:`~repro.engine.net.ReproService`
+    lifecycle (:class:`~repro.engine.net.HttpService`), so handles, the
+    benchmark harness and the CLI treat one worker and a fleet the same
+    way.  Start boots the workers (health-gated) and the crash monitor;
+    stop cancels the monitor and fans SIGTERM out to the workers.  A
+    failed boot -- an unhealthy worker, a taken router port -- runs the
+    same stop, so no worker outlives it.
 
     Parameters
     ----------
@@ -864,6 +832,8 @@ class FleetService:
         Worker process environment (default: inherit).
     """
 
+    _START_TIMEOUT = 90.0
+
     def __init__(
         self,
         commands: Sequence[Sequence[str]],
@@ -875,147 +845,31 @@ class FleetService:
         ready_timeout: float = 60.0,
         env: Optional[dict] = None,
     ):
+        super().__init__(host, port, on_ready)
         self.supervisor = FleetSupervisor(commands, on_line=on_line, env=env)
         self.router = FleetRouter(
             self.supervisor, quotas=TenantQuotas(policy=quota)
         )
-        self._host = host
-        self._port = port
-        self._on_ready = on_ready
+        self.router.on_stop(self.request_stop)
         self._ready_timeout = ready_timeout
-        self._stopping: Optional[asyncio.Event] = None
-        self._connections: set = set()
+        self._monitor: Optional[asyncio.Task] = None
 
-    @property
-    def host(self) -> str:
-        """The router's bind host."""
-        return self._host
+    async def _start(self) -> None:
+        await self.supervisor.start(timeout=self._ready_timeout)
+        self._monitor = asyncio.ensure_future(self.supervisor.monitor())
 
-    @property
-    def port(self) -> int:
-        """The router's bound port (meaningful once ready)."""
-        return self._port
+    async def _handle_connection(self, reader, writer) -> None:
+        await self.router.handle_connection(reader, writer)
 
-    def request_stop(self) -> None:
-        """Begin the shutdown drain (call from the service's loop; from
-        other threads use :meth:`ServiceHandle.stop`)."""
-        if self._stopping is not None:
-            self._stopping.set()
-
-    # ------------------------------------------------------------------
-    async def run(self, install_signal_handlers: bool = True) -> None:
-        """Boot the fleet, route until stopped, then drain everything.
-
-        Order on the way down mirrors the way up: stop accepting, await
-        in-flight relays, SIGTERM fan-out to the workers (each drains
-        and snapshots its own store), join them.
-
-        Raises
-        ------
-        ServiceError
-            If the fleet fails health-gated readiness on boot.
-        """
-        loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
-        self.router.on_stop(self._stopping.set)
-        installed = []
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self._stopping.set)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass
-        try:
-            await self.supervisor.start(timeout=self._ready_timeout)
-        except ServiceError:
-            await self.supervisor.stop(timeout=10.0)
-            raise
-        monitor = asyncio.ensure_future(self.supervisor.monitor())
-        server = await asyncio.start_server(
-            self._wrap_connection, host=self._host, port=self._port
-        )
-        try:
-            self._port = server.sockets[0].getsockname()[1]
-            if self._on_ready is not None:
-                self._on_ready(self._host, self._port)
-            await self._stopping.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            if self._connections:
-                await asyncio.gather(
-                    *list(self._connections), return_exceptions=True
-                )
-            monitor.cancel()
+    async def _stop(self) -> None:
+        if self._monitor is not None:
+            self._monitor.cancel()
             try:
-                await monitor
+                await self._monitor
             except asyncio.CancelledError:
                 pass
-            await self.supervisor.stop()
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-
-    async def _wrap_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self.router.handle_connection(reader, writer)
-        finally:
-            self._connections.discard(task)
-
-    def serve_forever(self) -> None:
-        """Blocking entry point (the CLI's ``repro fleet``)."""
-        asyncio.run(self.run())
-
-    def start_in_thread(self, timeout: float = 90.0) -> ServiceHandle:
-        """Run the fleet on a daemon thread; returns a handle with the
-        router's bound port (same contract as
-        :meth:`ReproService.start_in_thread`).
-
-        Raises
-        ------
-        ServiceError
-            If the fleet is not ready within ``timeout`` seconds.
-        """
-        ready = threading.Event()
-        previous_on_ready = self._on_ready
-
-        def _mark_ready(host: str, port: int) -> None:
-            if previous_on_ready is not None:
-                previous_on_ready(host, port)
-            ready.set()
-
-        self._on_ready = _mark_ready
-        holder: dict = {}
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            holder["loop"] = loop
-            try:
-                loop.run_until_complete(
-                    self.run(install_signal_handlers=False)
-                )
-            except BaseException as err:
-                holder["error"] = err
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="repro-fleet", daemon=True)
-        thread.start()
-        started = time.monotonic()
-        while not ready.wait(timeout=0.05):
-            if not thread.is_alive() or "error" in holder:
-                thread.join(timeout=5)
-                raise ServiceError(
-                    f"fleet failed to start: {holder.get('error')!r}"
-                ) from holder.get("error")
-            if time.monotonic() - started >= timeout:
-                self.request_stop()
-                raise ServiceError(
-                    f"fleet failed to become ready within {timeout:g}s"
-                )
-        return ServiceHandle(self, thread, holder["loop"])
+            self._monitor = None
+        await self.supervisor.stop()
 
     def __repr__(self) -> str:
         return f"FleetService({len(self.supervisor)} workers, port={self._port})"

@@ -40,6 +40,11 @@ Operational behavior:
   stops accepting connections, drains in-flight requests, stops the
   microbatcher, snapshots a durable session, and closes the store.
 
+The fleet router (:mod:`repro.engine.fleet`) shares the plumbing: the
+request frame :func:`serve_http_connection` and the lifecycle
+:class:`HttpService` (bind, signals, drain, ``serve_forever()``,
+``start_in_thread()``).
+
 :class:`ReproClient` is the matching blocking client (stdlib
 ``http.client``), used by tests, the CI end-to-end driver and scripts.
 
@@ -61,18 +66,20 @@ import socket
 import threading
 import time
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Awaitable, Callable, Optional, Tuple
 
 from repro.engine.server import ConstraintServer
 from repro.engine.stream import StreamSession, parse_transaction_log
 from repro.errors import PersistenceError
 
 __all__ = [
+    "HttpService",
     "ReproClient",
     "ReproService",
     "ServiceError",
     "ServiceHandle",
     "read_http_request",
+    "serve_http_connection",
     "write_http_response",
 ]
 
@@ -192,6 +199,46 @@ def write_http_response(
     writer.write(("\r\n".join(headers) + "\r\n\r\n").encode() + body)
 
 
+async def serve_http_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    respond: Callable[..., Awaitable[None]],
+) -> None:
+    """The request frame of every connection, worker and router alike.
+
+    Reads one request within ``_READ_TIMEOUT`` (``408`` otherwise) and
+    hands it to ``respond(writer, method, path, headers, body)``, which
+    writes the reply.  An ``_HttpError`` from either step answers with
+    its own status, any other exception with ``500``; the writer is
+    drained and closed whatever happens.
+    """
+    try:
+        try:
+            request = await asyncio.wait_for(
+                read_http_request(reader), timeout=_READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            write_http_response(
+                writer, 408, {"error": "request not received in time"}
+            )
+            return
+        if request is not None:
+            await respond(writer, *request)
+    except _HttpError as err:
+        write_http_response(writer, err.status, {"error": err.message})
+    except Exception as err:  # noqa: BLE001 - wire boundary
+        write_http_response(
+            writer, 500, {"error": f"{type(err).__name__}: {err}"}
+        )
+    finally:
+        try:
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
 def _json_value(value):
     """A support/density value as JSON: ints/floats pass, exact
     rationals travel as strings (parsed back by the client)."""
@@ -208,99 +255,40 @@ def _parse_scalar(value):
     return value
 
 
-class ReproService:
-    """One serving instance: session + microbatcher behind HTTP/JSON.
+class HttpService:
+    """The lifecycle of ``repro serve`` and ``repro fleet``.
+
+    Subclasses supply three async hooks: ``_start()`` brings up what
+    answers requests (before the bind), ``_handle_connection(reader,
+    writer)`` serves one connection, and ``_stop()`` tears down once the
+    listener is closed and every accepted connection has finished.
+    ``_stop`` also runs when ``_start``, the bind or ``on_ready`` fails,
+    so a failed boot leaves behind nothing a normal stop would not.
 
     Parameters
     ----------
-    constraints:
-        The constraint set ``C`` that ``/implies`` is decided against.
-    session:
-        The live :class:`StreamSession` behind ``/check``, ``/delta``
-        and ``/probe`` (durable or not).  ``None`` builds an empty
-        in-memory session over ``constraints.ground``.
-    parse_constraint:
-        ``text -> constraint`` for request bodies.  Defaults to
-        ``constraints.parse`` when the set provides one.
     host / port:
         Bind address; port ``0`` asks the OS for a free port (read the
         bound port from :attr:`port` or the ``on_ready`` callback).
-    queue_size:
-        Concurrent-request admission bound (backpressure): past it,
-        requests are refused with 503 instead of queueing unboundedly.
-    max_batch / cache_size:
-        Passed to the underlying :class:`ConstraintServer`, which
-        batches drain-ready: each ``/implies`` or ``/check`` joins
-        whatever requests are already queued, never a timed window.
     on_ready:
         ``(host, port) -> None`` called once the socket is bound (the
-        CLI prints the listening line from it).
-    config:
-        The :class:`repro.engine.EngineConfig` the service boots from:
-        with no ``session`` it is planned into the live session (via
-        the single :func:`repro.engine.plan.build_context` factory) and
-        it supplies the microbatcher's cache budgets; the resolved plan
-        is stamped into ``/stats`` under ``"engine"``.
+        CLI prints its listening line from it).
     """
+
+    #: Default readiness deadline of :meth:`start_in_thread`, seconds.
+    _START_TIMEOUT = 30.0
 
     def __init__(
         self,
-        constraints,
-        session: Optional[StreamSession] = None,
-        parse_constraint: Optional[Callable[[str], object]] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        queue_size: int = 128,
-        max_batch: int = 64,
-        cache_size: Optional[int] = None,
-        on_ready: Optional[Callable[[str, int], None]] = None,
-        config=None,
+        host: str,
+        port: int,
+        on_ready: Optional[Callable[[str, int], None]],
     ):
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
-        self._cset = constraints
-        if session is None:
-            # the service boots from exactly one EngineConfig: the
-            # planner resolves it and the session constructs its
-            # context through the single build_context factory
-            session = StreamSession(
-                constraints.ground,
-                constraints=getattr(constraints, "constraints", ()),
-                config=config,
-            )
-        self._session = session
-        self._config = config if config is not None else session.config
-        if parse_constraint is None:
-            parse_constraint = getattr(constraints, "parse", None)
-        if parse_constraint is None:
-            raise ValueError(
-                "parse_constraint is required when the constraint set "
-                "has no .parse"
-            )
-        self._parse_constraint = parse_constraint
         self._host = host
         self._port = port
-        self._queue_size = queue_size
-        self._batcher = ConstraintServer(
-            constraints,
-            instance=session.context,
-            max_batch=max_batch,
-            cache_size=cache_size,
-            config=config,
-        )
         self._on_ready = on_ready
-        self._inflight = 0
-        self._refused = 0
-        self._connections: set = set()
-        self._drained: Optional[asyncio.Event] = None
         self._stopping: Optional[asyncio.Event] = None
-        self._write_lock: Optional[asyncio.Lock] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def session(self) -> StreamSession:
-        """The durable stream session deltas commit through."""
-        return self._session
+        self._connections: set = set()
 
     @property
     def port(self) -> int:
@@ -318,78 +306,239 @@ class ReproService:
         if self._stopping is not None:
             self._stopping.set()
 
+    async def run(self, install_signal_handlers: bool = True) -> None:
+        """Serve until SIGTERM/SIGINT or :meth:`request_stop`, then drain.
+
+        Way up: signal handlers, ``_start``, bind, ``on_ready``.  Way
+        down: close the listener, await every accepted connection, then
+        ``_stop``.
+
+        Raises
+        ------
+        OSError
+            If the bind fails (after the teardown has run).
+        """
+        loop = asyncio.get_running_loop()
+        self._stopping = asyncio.Event()
+        installed = []
+        if install_signal_handlers:
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, self._stopping.set)
+                    installed.append(sig)
+                except (NotImplementedError, RuntimeError, ValueError):
+                    pass  # non-main thread or unsupported platform
+        server = None
+        try:
+            await self._start()
+            server = await asyncio.start_server(
+                self._wrap_connection, host=self._host, port=self._port
+            )
+            self._port = server.sockets[0].getsockname()[1]
+            if self._on_ready is not None:
+                self._on_ready(self._host, self._port)
+            await self._stopping.wait()
+        finally:
+            if server is not None:
+                server.close()
+                await server.wait_closed()
+            # wait_closed() does not wait for connection handlers before
+            # py3.12: drain the handler tasks themselves -- every
+            # admitted request runs inside one -- until none is left
+            while self._connections:
+                await asyncio.gather(
+                    *list(self._connections), return_exceptions=True
+                )
+            await self._stop()
+            for sig in installed:
+                loop.remove_signal_handler(sig)
+
+    async def _wrap_connection(self, reader, writer) -> None:
+        # connections racing the drain are served; new ones are not
+        # accepted once the listener closes.  The task registry lets the
+        # drain await handlers that are still reading their request.
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            await self._handle_connection(reader, writer)
+        finally:
+            self._connections.discard(task)
+
+    def serve_forever(self) -> None:
+        """Blocking entry point (``repro serve --port``, ``repro fleet``)."""
+        asyncio.run(self.run())
+
+    def start_in_thread(
+        self, timeout: Optional[float] = None
+    ) -> "ServiceHandle":
+        """Run the service on a daemon thread; returns a handle with the
+        bound port.  Used by tests, docs and the benchmark harness.
+
+        Raises
+        ------
+        ServiceError
+            If the service fails to start, or has not bound its port
+            within ``timeout`` seconds (default ``_START_TIMEOUT``,
+            measured on a monotonic clock, not inferred from wait
+            quanta).  On a timeout the run is cancelled through its
+            loop -- its teardown runs -- and the thread joined before
+            the error is raised.
+        """
+        if timeout is None:
+            timeout = self._START_TIMEOUT
+        ready = threading.Event()
+        previous_on_ready = self._on_ready
+
+        def _mark_ready(host: str, port: int) -> None:
+            if previous_on_ready is not None:
+                previous_on_ready(host, port)
+            ready.set()
+
+        self._on_ready = _mark_ready
+        loop = asyncio.new_event_loop()
+        run = loop.create_task(self.run(install_signal_handlers=False))
+        errors: list = []
+
+        def _run() -> None:
+            try:
+                loop.run_until_complete(run)
+            except BaseException as err:  # surfaced to the waiter below
+                errors.append(err)
+            finally:
+                loop.close()
+
+        name = type(self).__name__
+        thread = threading.Thread(target=_run, name=name, daemon=True)
+        thread.start()
+        started = time.monotonic()
+        while not ready.wait(timeout=0.05):
+            if not thread.is_alive():
+                error = errors[0] if errors else None
+                raise ServiceError(
+                    f"{name} failed to start: {error!r}"
+                ) from error
+            elapsed = time.monotonic() - started
+            if elapsed >= timeout:
+                if thread.is_alive():
+                    loop.call_soon_threadsafe(run.cancel)
+                thread.join(timeout=30)
+                raise ServiceError(
+                    f"{name} failed to become ready after "
+                    f"{elapsed:.2f}s (timeout {timeout:g}s)"
+                )
+        return ServiceHandle(self, thread, loop)
+
+
+class ReproService(HttpService):
+    """One serving instance: session + microbatcher behind HTTP/JSON.
+
+    Parameters
+    ----------
+    constraints:
+        The constraint set ``C`` that ``/implies`` is decided against.
+    session:
+        The live :class:`StreamSession` behind ``/check``, ``/delta``
+        and ``/probe`` (durable or not).  ``None`` builds an empty
+        in-memory session over ``constraints.ground``.
+    parse_constraint:
+        ``text -> constraint`` for request bodies.  Defaults to
+        ``constraints.parse`` when the set provides one.
+    host / port / on_ready:
+        See :class:`HttpService`.
+    queue_size:
+        Concurrent-request admission bound (backpressure): past it,
+        requests are refused with 503 instead of queueing unboundedly.
+    max_batch:
+        Passed to the underlying :class:`ConstraintServer`, which
+        batches drain-ready: each ``/implies`` or ``/check`` joins
+        whatever requests are already queued, never a timed window.
+    config:
+        The :class:`repro.engine.EngineConfig` the service boots from:
+        with no ``session`` it is planned into the live session (via
+        the single :func:`repro.engine.plan.build_context` factory) and
+        it supplies the microbatcher's cache budgets; the resolved plan
+        is stamped into ``/stats`` under ``"engine"``.
+    """
+
+    def __init__(
+        self,
+        constraints,
+        session: Optional[StreamSession] = None,
+        parse_constraint: Optional[Callable[[str], object]] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        queue_size: int = 128,
+        max_batch: int = 64,
+        on_ready: Optional[Callable[[str, int], None]] = None,
+        config=None,
+    ):
+        if queue_size < 1:
+            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
+        super().__init__(host, port, on_ready)
+        self._cset = constraints
+        if session is None:
+            # the service boots from exactly one EngineConfig: the
+            # planner resolves it and the session constructs its
+            # context through the single build_context factory
+            session = StreamSession(
+                constraints.ground,
+                constraints=getattr(constraints, "constraints", ()),
+                config=config,
+            )
+        self._session = session
+        if parse_constraint is None:
+            parse_constraint = getattr(constraints, "parse", None)
+        if parse_constraint is None:
+            raise ValueError(
+                "parse_constraint is required when the constraint set "
+                "has no .parse"
+            )
+        self._parse_constraint = parse_constraint
+        self._queue_size = queue_size
+        self._batcher = ConstraintServer(
+            constraints,
+            instance=session.context,
+            max_batch=max_batch,
+            config=config,
+        )
+        self._inflight = 0
+        self._refused = 0
+        self._write_lock: Optional[asyncio.Lock] = None
+
+    # ------------------------------------------------------------------
+    @property
+    def session(self) -> StreamSession:
+        """The durable stream session deltas commit through."""
+        return self._session
+
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, dict]]:
-        """One parsed request as ``(method, path, body)`` (or ``None``
-        on a silent close); framing errors raise :class:`_HttpError`."""
-        request = await read_http_request(reader)
-        if request is None:
-            return None
-        method, path, _headers, body = request
-        return method, path, body
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter, status: int, payload: dict,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        """Emit one JSON response (see :func:`write_http_response`)."""
-        write_http_response(writer, status, payload, extra_headers)
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        await serve_http_connection(reader, writer, self._respond)
+
+    async def _respond(
+        self, writer: asyncio.StreamWriter, method: str, path: str,
+        _headers: dict, body: dict,
+    ) -> None:
+        if self._inflight >= self._queue_size:
+            # backpressure: refuse instead of queueing unboundedly
+            self._refused += 1
+            write_http_response(
+                writer,
+                503,
+                {"error": "server overloaded, retry"},
+                (("Retry-After", "1"),),
+            )
+            return
+        self._inflight += 1
         try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), timeout=_READ_TIMEOUT
-                )
-                if request is None:
-                    return
-                method, path, body = request
-            except asyncio.TimeoutError:
-                self._write_response(
-                    writer, 408, {"error": "request not received in time"}
-                )
-                return
-            except _HttpError as err:
-                self._write_response(
-                    writer, err.status, {"error": err.message}
-                )
-                return
-            if self._inflight >= self._queue_size:
-                # backpressure: refuse instead of queueing unboundedly
-                self._refused += 1
-                self._write_response(
-                    writer,
-                    503,
-                    {"error": "server overloaded, retry"},
-                    (("Retry-After", "1"),),
-                )
-                return
-            self._inflight += 1
-            try:
-                status, payload = await self._dispatch(method, path, body)
-            except _HttpError as err:
-                status, payload = err.status, {"error": err.message}
-            except Exception as err:  # noqa: BLE001 - wire boundary
-                status, payload = 500, {"error": f"{type(err).__name__}: {err}"}
-            finally:
-                self._inflight -= 1
-                if self._inflight == 0 and self._drained is not None:
-                    self._drained.set()
-            self._write_response(writer, status, payload)
+            status, payload = await self._dispatch(method, path, body)
         finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._inflight -= 1
+        write_http_response(writer, status, payload)
 
     # ------------------------------------------------------------------
     # endpoints
@@ -484,144 +633,37 @@ class ReproService:
         }
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle hooks
     # ------------------------------------------------------------------
-    async def run(self, install_signal_handlers: bool = True) -> None:
-        """Serve until SIGTERM/SIGINT or ``/shutdown``, then drain.
-
-        The drain order is deliberate: stop accepting, wait for
-        in-flight requests, stop the microbatcher, snapshot a durable
-        session, close the store -- so a graceful exit always leaves a
-        compacted data directory that recovers instantly.
-        """
-        loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
-        self._drained = asyncio.Event()
-        self._drained.set()
+    async def _start(self) -> None:
         self._write_lock = asyncio.Lock()
-        installed = []
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self._stopping.set)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass  # non-main thread or unsupported platform
         await self._batcher.start()
+
+    async def _stop(self) -> None:
+        # runs after every admitted request has been answered; the order
+        # is deliberate: stop the microbatcher, snapshot a durable
+        # session, close the store -- so a graceful exit always leaves
+        # a compacted data directory that recovers instantly
+        await self._batcher.stop()
         try:
-            server = await asyncio.start_server(
-                self._wrap_connection, host=self._host, port=self._port
-            )
-        except BaseException:
-            # a failed bind must not leave the dispatcher task pending
-            # on a loop that is about to close
-            await self._batcher.stop()
-            raise
-        try:
-            self._port = server.sockets[0].getsockname()[1]
-            if self._on_ready is not None:
-                self._on_ready(self._host, self._port)
-            await self._stopping.wait()
+            if self._session.durable:
+                async with self._write_lock:
+                    try:
+                        self._session.snapshot()
+                    except PersistenceError:
+                        # wedged (a logged commit failed to apply) or
+                        # store-level damage: the WAL remains
+                        # authoritative and the reopen path heals, so
+                        # the drain must still close and exit 0
+                        pass
         finally:
-            server.close()
-            await server.wait_closed()
-            # wait_closed() does not wait for connection handlers before
-            # py3.12: connections accepted pre-close may still be reading
-            # their request (not yet counted in _inflight), so drain the
-            # handler tasks themselves, then any admitted requests
-            if self._connections:
-                await asyncio.gather(
-                    *list(self._connections), return_exceptions=True
-                )
-            if self._inflight:
-                self._drained.clear()
-                await self._drained.wait()
-            await self._batcher.stop()
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            try:
-                if self._session.durable:
-                    async with self._write_lock:
-                        try:
-                            self._session.snapshot()
-                        except PersistenceError:
-                            # wedged (a logged commit failed to apply)
-                            # or store-level damage: the WAL remains
-                            # authoritative and the reopen path heals,
-                            # so the drain must still close and exit 0
-                            pass
-            finally:
-                self._session.close()
-
-    async def _wrap_connection(self, reader, writer) -> None:
-        # connections racing the drain are served; new ones are not
-        # accepted once the listener closes.  The task registry lets the
-        # drain await handlers that were accepted but have not yet been
-        # admitted into _inflight.
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._handle_connection(reader, writer)
-        finally:
-            self._connections.discard(task)
-
-    def serve_forever(self) -> None:
-        """Blocking entry point (the CLI's ``repro serve --port``)."""
-        asyncio.run(self.run())
-
-    def start_in_thread(self, timeout: float = 30.0) -> "ServiceHandle":
-        """Run the service on a daemon thread; returns a handle with the
-        bound port.  Used by tests, docs and the benchmark harness.
-        Raises :class:`ServiceError` if the service has not bound its
-        port within ``timeout`` seconds (measured on a monotonic clock,
-        not inferred from wait quanta)."""
-        ready = threading.Event()
-        previous_on_ready = self._on_ready
-
-        def _mark_ready(host: str, port: int) -> None:
-            if previous_on_ready is not None:
-                previous_on_ready(host, port)
-            ready.set()
-
-        self._on_ready = _mark_ready
-        holder: dict = {}
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            holder["loop"] = loop
-            try:
-                loop.run_until_complete(
-                    self.run(install_signal_handlers=False)
-                )
-            except BaseException as err:  # surfaced to the waiter below
-                holder["error"] = err
-            finally:
-                loop.close()
-
-        thread = threading.Thread(
-            target=_run, name="repro-service", daemon=True
-        )
-        thread.start()
-        started = time.monotonic()
-        while not ready.wait(timeout=0.05):
-            if not thread.is_alive() or "error" in holder:
-                thread.join(timeout=5)
-                raise ServiceError(
-                    f"service failed to start: {holder.get('error')!r}"
-                ) from holder.get("error")
-            elapsed = time.monotonic() - started
-            if elapsed >= timeout:
-                raise ServiceError(
-                    f"service failed to become ready after {elapsed:.2f}s "
-                    f"(timeout {timeout:g}s)"
-                )
-        return ServiceHandle(self, thread, holder["loop"])
+            self._session.close()
 
 
 class ServiceHandle:
     """A running in-thread service: its port, and a way to stop it."""
 
-    def __init__(self, service: ReproService, thread: threading.Thread, loop):
+    def __init__(self, service: HttpService, thread: threading.Thread, loop):
         self.service = service
         self._thread = thread
         self._loop = loop

@@ -39,12 +39,12 @@ from __future__ import annotations
 import asyncio
 from typing import List, Optional, Sequence, Tuple
 
+from repro.engine.context import EvalContext
 from repro.engine.decider import (
     ImplicationCache,
     _Lru,
     constraint_fingerprint,
     constraint_set_fingerprint,
-    decide_batched,
     shared_cache,
 )
 
@@ -87,7 +87,9 @@ class ConstraintServer:
     ----------
     constraints:
         The constraint set ``C`` that ``implies`` queries are decided
-        against (anything the batched decider accepts).
+        against: anything with the ``ConstraintSet.implies(target,
+        method=, context=)`` signature, so a query takes the library's
+        planner route.
     instance:
         Optional live instance for ``check`` queries -- an
         :class:`~repro.engine.incremental.IncrementalEvalContext` or
@@ -260,18 +262,13 @@ class ConstraintServer:
     def _compute(self, work) -> bool:
         kind, payload = work
         if kind == "implies":
-            ground = getattr(self._cset, "ground", None)
-            dense_ok = ground is None or getattr(
-                ground, "is_dense_capable", lambda: True
-            )()
-            if dense_ok:
-                return decide_batched(
-                    self._cset, payload, self._decider_cache
-                )
-            # past the dense-table limit the batched decider would
-            # allocate 2^|S| tables; defer to the constraint set's own
-            # decision procedure (method="auto" picks the SAT route)
-            return self._cset.implies(payload, method="auto")
+            # the library's planner route (fd / engine / sat), with the
+            # engine decider memoizing into this server's table cache
+            return self._cset.implies(
+                payload,
+                method="auto",
+                context=EvalContext(cache=self._decider_cache),
+            )
         if kind == "check":
             return payload.satisfied_by(self._instance)
         raise ValueError(f"unknown work kind {kind!r}")

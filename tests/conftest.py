@@ -8,6 +8,8 @@ constraint data).
 
 from __future__ import annotations
 
+import gc
+import logging
 import os
 import random
 
@@ -34,6 +36,58 @@ settings.register_profile(
     print_blob=True,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
+
+
+class _PendingTaskGate(logging.Handler):
+    """Collects asyncio's "Task was destroyed but it is pending!" records.
+
+    asyncio only *logs* a task that is garbage-collected while still
+    pending -- it never reaches the unraisable hook the ``filterwarnings``
+    gate in pyproject.toml watches -- so this handler on the ``asyncio``
+    logger is the leak gate for tasks.
+    """
+
+    def __init__(self):
+        super().__init__(level=logging.ERROR)
+        self.records: list = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if "Task was destroyed but it is pending" in record.getMessage():
+            self.records.append(self.format(record))
+
+
+_TASK_GATE = _PendingTaskGate()
+logging.getLogger("asyncio").addHandler(_TASK_GATE)
+
+
+@pytest.fixture(autouse=True)
+def _no_pending_task_destroyed():
+    """Fail the test during which a pending task was destroyed."""
+    seen = len(_TASK_GATE.records)
+    yield
+    leaked = _TASK_GATE.records[seen:]
+    del _TASK_GATE.records[seen:]  # reported here, not again at exit
+    if leaked:
+        pytest.fail(
+            "an asyncio task was destroyed while pending:\n"
+            + "\n".join(leaked),
+            pytrace=False,
+        )
+
+
+def pytest_sessionfinish(session):
+    """Fail the run on any such record, also one logged after the last
+    test or outside ``tests/`` (where the fixture above does not run)."""
+    gc.collect()
+    if not _TASK_GATE.records:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.ensure_newline()
+        reporter.write_sep("=", "asyncio tasks destroyed while pending", red=True)
+        reporter.write_line("\n".join(_TASK_GATE.records))
+    if session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ with **SIGKILL** (router and workers, no drain, no snapshot) and boots
 recovered answer must match the state the clients had acknowledged
 before the crash -- the WAL-shipping invariant, asserted across the
 process boundary.  Also exercised: quota 429s (distinct from 503s),
-restart-on-crash supervision, and a graceful SIGTERM drain exiting 0.
+restart-on-crash supervision, a graceful SIGTERM drain exiting 0, and
+a boot on a router port the driver holds: it must exit nonzero and
+take its already-started worker down with it.
 
 Run:  PYTHONPATH=src python tests/e2e/fleet_driver.py
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -40,30 +43,8 @@ B -> CD
 """
 
 FLEET_LISTENING = re.compile(r"# fleet listening on ([\d.]+):(\d+)")
+WORKER_LISTENING = re.compile(r"# \[worker 0\] # listening on ([\d.]+):(\d+)")
 TENANTS = ("acme", "globex", "initech", "umbrella")
-
-
-def shm_segments() -> set:
-    """Names of POSIX shared-memory segments currently in ``/dev/shm``."""
-    try:
-        return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
-    except (FileNotFoundError, PermissionError):
-        return set()
-
-
-def shm_orphans(baseline: set, timeout: float = 5.0) -> set:
-    """Segments that appeared since ``baseline`` and refuse to drain.
-
-    A SIGKILLed fleet cannot unlink its published segments itself; the
-    survivors (executor backstops, resource trackers) get a short
-    settle window before a leftover counts as a leak.
-    """
-    deadline = time.monotonic() + timeout
-    orphans = shm_segments() - baseline
-    while orphans and time.monotonic() < deadline:
-        time.sleep(0.25)
-        orphans = shm_segments() - baseline
-    return orphans
 
 
 def boot(constraint_path: str, data_root: str, standby_root: str,
@@ -111,6 +92,48 @@ def boot(constraint_path: str, data_root: str, standby_root: str,
     client = ReproClient("127.0.0.1", port, timeout=30)
     client.wait_ready(timeout=60)
     return proc, port
+
+
+def boot_on_held_port(constraint_path: str):
+    """Run ``repro fleet --workers 1`` against a router port this driver
+    holds; returns its exit code and the port its worker had bound
+    (``None`` if the worker never printed its listening line)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "fleet", constraint_path,
+                "--workers", "1", "--host", "127.0.0.1",
+                "--port", str(holder.getsockname()[1]),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    for line in done.stdout.splitlines():
+        print(f"[fleet] {line}")
+    match = WORKER_LISTENING.search(done.stdout)
+    return done.returncode, int(match.group(2)) if match else None
+
+
+def refuses_connections(port: int, timeout: float = 5.0) -> bool:
+    """Whether ``127.0.0.1:port`` refuses connections within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+        except ConnectionRefusedError:
+            return True
+        except OSError:
+            pass
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.1)
 
 
 def observe(port: int) -> dict:
@@ -171,7 +194,6 @@ def main() -> int:
             fh.write(CONSTRAINTS)
         data_root = os.path.join(tmp, "data")
         standby_root = os.path.join(tmp, "standby")
-        shm_baseline = shm_segments()
 
         # --- phase 1: boot the fleet, drive tenants through the router
         proc, port = boot(constraint_path, data_root, standby_root)
@@ -207,12 +229,6 @@ def main() -> int:
             expect(False, "router port actually went dark")
         except ServiceError:
             expect(True, "router port actually went dark")
-        orphans = shm_orphans(shm_baseline)
-        expect(
-            not orphans,
-            f"no orphan shm segments after fleet SIGKILL "
-            f"(found {sorted(orphans)})",
-        )
 
         # --- phase 3: takeover on the shipped standby directories -----
         proc2, port2 = boot(
@@ -272,12 +288,16 @@ def main() -> int:
         proc2.send_signal(signal.SIGTERM)
         rc = proc2.wait(timeout=90)
         expect(rc == 0, f"SIGTERM fan-out drain exit code is 0 (got {rc})")
-        orphans = shm_orphans(shm_baseline)
-        expect(
-            not orphans,
-            f"no orphan shm segments after takeover + drain "
-            f"(found {sorted(orphans)})",
-        )
+
+        # --- phase 7: a failed router bind stops the booted worker -----
+        rc, worker_port = boot_on_held_port(constraint_path)
+        expect(rc != 0, f"fleet on a held port exits nonzero (got {rc})")
+        expect(worker_port is not None, "its worker booted before the bind")
+        if worker_port is not None:
+            expect(
+                refuses_connections(worker_port),
+                f"worker port {worker_port} refuses connections afterwards",
+            )
 
     if failures:
         print(f"[driver] {failures} check(s) FAILED")

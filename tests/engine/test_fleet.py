@@ -461,6 +461,36 @@ class TestFleetService:
         with pytest.raises(ServiceError):
             service.start_in_thread(timeout=30)
 
+    def test_router_bind_failure_stops_every_worker(
+        self, constraint_file, caplog
+    ):
+        """The router port is taken only after the workers are healthy:
+        the failed boot must run the normal stop -- every worker exits
+        and the crash monitor is not left pending on the dead loop."""
+        import gc
+        import logging
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            service = FleetService(
+                [worker_command(constraint_file)],
+                port=holder.getsockname()[1],
+                env=fleet_env(),
+            )
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                with pytest.raises(ServiceError, match="failed to start"):
+                    service.start_in_thread(timeout=90)
+                gc.collect()
+        for worker in service.supervisor.workers:
+            assert worker.proc is not None
+            assert worker.proc.poll() is not None, "worker outlived the boot"
+        assert not [
+            r for r in caplog.records
+            if "Task was destroyed but it is pending" in r.getMessage()
+        ]
+
 
 class TestFleetRouterUnits:
     def test_tenant_extraction_order(self):
@@ -468,11 +498,6 @@ class TestFleetRouterUnits:
         assert FleetRouter.tenant_of({}, {"tenant": "b"}) == "b"
         assert FleetRouter.tenant_of({}, {}) == DEFAULT_TENANT
         assert FleetRouter.tenant_of({}, {"tenant": 7}) == DEFAULT_TENANT
-
-    def test_ring_size_must_match_fleet(self):
-        supervisor = FleetSupervisor([["true"], ["true"]])
-        with pytest.raises(ValueError):
-            FleetRouter(supervisor, ring=HashRing(3))
 
     def test_supervisor_needs_workers(self):
         with pytest.raises(ValueError):

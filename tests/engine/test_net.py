@@ -351,6 +351,24 @@ class TestStartupTimeout:
         reported = float(re.search(r"after (\d+\.\d+)s", str(err.value)).group(1))
         assert 0.3 <= reported <= elapsed + 0.01
 
+    def test_timeout_leaves_no_service_thread(self, cset, monkeypatch):
+        # a boot that outlives the readiness deadline is cancelled
+        # through its loop and joined: nothing keeps running behind the
+        # ServiceError
+        import asyncio
+        import threading
+
+        from repro.engine.server import ConstraintServer
+
+        async def slow_start(self):
+            await asyncio.sleep(30)
+
+        monkeypatch.setattr(ConstraintServer, "start", slow_start)
+        before = set(threading.enumerate())
+        with pytest.raises(ServiceError, match="ready after"):
+            ReproService(cset).start_in_thread(timeout=0.3)
+        assert [t for t in threading.enumerate() if t not in before] == []
+
 
 class TestOverloadRetry:
     """The client's bounded-retry contract against the server's own

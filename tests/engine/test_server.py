@@ -244,20 +244,56 @@ class TestConstraintServer:
         with pytest.raises(ValueError):
             ConstraintServer(cset, max_batch=0)
 
-    def test_non_dense_ground_falls_back_to_sat(self):
+    def test_non_dense_ground_falls_back_to_sat(self, monkeypatch):
         """Past the dense limit the server must never build 2^|S| tables
         -- implication answers route through the SAT decider instead."""
-        big = GroundSet([f"x{i}" for i in range(25)])
+        from repro.core import implication
+
+        big = GroundSet("ABCDEFGHIJKLMNOPQRSTUVWXY")
         assert not big.is_dense_capable()
-        cset = ConstraintSet.of(big, "x0 -> x1", "x1 -> x2")
+        cset = ConstraintSet.of(big, "A -> B, CD", "B -> C, E")
+        routed = []
+        real_sat = implication.implies_sat
+        monkeypatch.setattr(
+            implication, "implies_sat",
+            lambda c, t: routed.append(t) or real_sat(c, t),
+        )
         answers, _ = serve_queries(
             cset,
             [
-                ("implies", target(big, "x0 -> x2")),
-                ("implies", target(big, "x2 -> x0")),
+                ("implies", target(big, "A -> B, CD")),
+                ("implies", target(big, "C -> A, B")),
             ],
         )
         assert answers == [True, False]
+        assert len(routed) == 2
+
+    def test_fd_fragment_routes_to_fd_not_the_engine(
+        self, ground, cset, monkeypatch
+    ):
+        """``/implies`` takes the library's planner route: an
+        all-singleton-family query is answered by attribute closure and
+        never builds the engine's lattice tables."""
+        from repro.core import implication
+        from repro.engine import decider
+
+        routed, tables = [], []
+        real_fd = implication.implies_fd
+        real_tables = decider.find_uncovered_batched
+        monkeypatch.setattr(
+            implication, "implies_fd",
+            lambda c, t: routed.append(t) or real_fd(c, t),
+        )
+        monkeypatch.setattr(
+            decider, "find_uncovered_batched",
+            lambda *args: tables.append(args) or real_tables(*args),
+        )
+        texts = ["A -> C", "C -> A", "AD -> C"]
+        answers, _ = serve_queries(
+            cset, [("implies", target(ground, t)) for t in texts]
+        )
+        assert answers == [True, False, True]
+        assert len(routed) == len(texts) and tables == []
 
     def test_constraint_set_server_helper(self, ground, cset):
         async def scenario():
