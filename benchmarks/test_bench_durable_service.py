@@ -53,14 +53,14 @@ def _workload():
 
 
 def _durable(data_dir):
-    """The incremental tier on exact tables, logged to ``data_dir``."""
-    return EngineConfig(engine="incremental", backend="exact", durable=data_dir)
+    """A config on exact tables, logged to ``data_dir``."""
+    return EngineConfig(backend="exact", durable=data_dir)
 
 
 def _session_kwargs(ground, cset, variant, data_dir):
     kwargs = dict(constraints=cset.constraints)
     if variant != "off":
-        kwargs.update(config=_durable(data_dir), fsync=variant)
+        kwargs.update(config=_durable(data_dir).replace(fsync=variant))
     return kwargs
 
 
@@ -189,7 +189,7 @@ class TestDurableService:
         try:
             session = StreamSession(
                 ground, constraints=cset.constraints,
-                config=_durable(data_dir), fsync="never",
+                config=_durable(data_dir).replace(fsync="never"),
             )
             for deltas in transactions:
                 session.apply(deltas)

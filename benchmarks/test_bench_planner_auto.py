@@ -1,13 +1,13 @@
-"""E19 -- planner-auto vs hand-tuned tiers, and plan-decision overhead.
+"""E19 -- the planner's choices vs hand-pinned ones, and plan overhead.
 
 Three workload shapes mirror the engine benchmarks: E5's implication
 queries (one constraint set, many ``decide`` calls), E16's streaming
 transactions (delta-maintained constraint monitoring), and a loaded
 evaluation loop (the ``loaded`` shape: delta bursts followed by
 verdict + support probes over a seeded instance).  For each shape,
-every hand-tunable configuration a user could pin is timed, then
-``engine=auto`` (the planner's choice for the measured workload on
-this host) is timed the same way.
+every choice a user could pin is timed -- the ``implies`` method for
+E5, the numeric backend for the live shapes -- then ``auto`` (the
+planner's resolution) is timed the same way.
 
 Acceptance (asserted):
 
@@ -18,8 +18,8 @@ Acceptance (asserted):
   the true ratio is ~1.0).
 
 Row keys are host-independent (fixed candidate labels; the auto rows
-record which tier the planner picked on the fixed workload descriptors,
-which do not depend on the measuring host's CPU count).
+record what the planner resolved for the fixed ground-set sizes, which
+do not depend on the measuring host).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.engine import (
     EngineConfig,
     EvalContext,
     StreamSession,
-    Workload,
     default_planner,
 )
 from repro.instances import random_constraint
@@ -146,18 +145,12 @@ class TestPlannerAuto:
         ratios = {}
 
         # --- planner decision overhead --------------------------------
-        workloads = [
-            Workload(n=N_QUERY, constraints=6, queries=QUERIES),
-            Workload(n=N_STREAM, constraints=4, streaming=True,
-                     delta_rate=3.0, density_size=500),
-            Workload(n=N_SCALE, constraints=4, streaming=True,
-                     delta_rate=8.0, density_size=SCALE_SEED_ROWS),
-        ]
+        sizes = (N_QUERY, N_STREAM, N_SCALE)
         t0 = time.perf_counter()
         for _ in range(PLAN_CALLS):
-            for workload in workloads:
-                planner.plan(workload)
-        per_plan = (time.perf_counter() - t0) / (PLAN_CALLS * len(workloads))
+            for n in sizes:
+                planner.plan(n)
+        per_plan = (time.perf_counter() - t0) / (PLAN_CALLS * len(sizes))
         assert per_plan < 1e-3, f"plan() took {per_plan * 1e6:.1f} us"
         rows.append(
             ("plan-overhead", "auto", "us/plan", f"{per_plan * 1e6:.2f}")
@@ -194,34 +187,26 @@ class TestPlannerAuto:
             for _ in range(4)
         ]
         transactions = _stream_ops(N_STREAM, STREAM_TXS, 1602)
-        e16_configs = {
-            "incremental-exact": EngineConfig(
-                engine="incremental", backend="exact"
-            ),
-            "incremental-float": EngineConfig(
-                engine="incremental", backend="float"
-            ),
+        pins = {
+            backend: EngineConfig(backend=backend)
+            for backend in ("exact", "float")
         }
         e16 = {
             label: _time_stream(s_ground, s_constraints, transactions, cfg)
-            for label, cfg in e16_configs.items()
+            for label, cfg in pins.items()
         }
         best_stream = max(e16, key=e16.get)
-        auto_plan = planner.plan(workloads[1])
         self._emit(
             rows, ratios, "E16-streaming", "tx/s", e16,
             _time_stream(
-                s_ground, s_constraints, transactions,
-                EngineConfig(engine="auto"),
+                s_ground, s_constraints, transactions, EngineConfig()
             ),
-            f"auto->{auto_plan.tier}/{auto_plan.backend}",
+            f"auto->{planner.plan(N_STREAM).backend}",
             lambda: _time_stream(
-                s_ground, s_constraints, transactions,
-                EngineConfig(engine="auto"),
+                s_ground, s_constraints, transactions, EngineConfig()
             ),
             lambda: _time_stream(
-                s_ground, s_constraints, transactions,
-                e16_configs[best_stream],
+                s_ground, s_constraints, transactions, pins[best_stream]
             ),
         )
 
@@ -238,34 +223,25 @@ class TestPlannerAuto:
             seed[mask] = seed.get(mask, 0) + 1
         bursts = _stream_ops(N_SCALE, SCALE_ROUNDS, 1702)
         probes = [rng.randrange(1 << N_SCALE) for _ in range(4)]
-        loaded_configs = {
-            "incremental": EngineConfig(
-                engine="incremental", backend="float"
-            ),
-        }
         loaded = {
             label: _time_scale(
                 c_ground, c_constraints, seed, bursts, probes, cfg
             )
-            for label, cfg in loaded_configs.items()
+            for label, cfg in pins.items()
         }
         best_loaded = max(loaded, key=loaded.get)
-        # the planner's decision for this shape's descriptor is
-        # host-independent: a streaming workload is always incremental
-        auto_plan = planner.plan(workloads[2])
-        auto_cfg = EngineConfig(engine="auto", backend="float")
         self._emit(
             rows, ratios, "loaded", "rounds/s", loaded,
             _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, auto_cfg
+                c_ground, c_constraints, seed, bursts, probes, EngineConfig()
             ),
-            f"auto->{auto_plan.tier}",
+            f"auto->{planner.plan(N_SCALE).backend}",
             lambda: _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, auto_cfg
+                c_ground, c_constraints, seed, bursts, probes, EngineConfig()
             ),
             lambda: _time_scale(
                 c_ground, c_constraints, seed, bursts, probes,
-                loaded_configs[best_loaded],
+                pins[best_loaded],
             ),
         )
 
@@ -295,10 +271,10 @@ class TestPlannerAuto:
         )
         report(
             "E19_planner_auto",
-            "engine=auto vs hand-tuned tiers (planner cost model)",
+            "planner auto vs hand-pinned method/backend (cost model)",
             lines,
         )
-        benchmark(lambda: planner.plan(workloads[0]))
+        benchmark(lambda: planner.plan(N_QUERY))
 
     @staticmethod
     def _emit(

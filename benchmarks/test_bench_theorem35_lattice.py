@@ -4,7 +4,8 @@ Regenerates the theorem on randomized sweeps: the syntactic containment
 ``L(C) >= L(X, Y)`` agrees with semantic implication decided by
 counterexample scans over the ``f^U`` family, and every refutation's
 witness function genuinely separates ``C`` from the target.  Benchmarks
-the per-query lattice decider against the cached-bitset variant (the
+the per-query lattice decider against the memoized engine decider,
+which decides against one cached ``L(C)`` table (the
 repeated-queries-on-one-C regime).
 """
 
@@ -15,7 +16,7 @@ import pytest
 from repro.core import GroundSet, refute
 from repro.core.implication import (
     find_uncovered,
-    implies_bitset,
+    implies_engine,
     implies_lattice,
 )
 from repro.core.counterexample import semantic_implies_over_ideals
@@ -65,20 +66,19 @@ class TestTheorem35:
 
         assert benchmark(decide_all) == implied
 
-    def test_bitset_variant_for_repeated_queries(self, benchmark):
+    def test_engine_for_repeated_queries(self, benchmark):
         """Many targets against one cached C."""
         rng = random.Random(405)
         cset = random_constraint_set(rng, GROUND, 4, max_members=3)
         targets = [
             random_constraint(rng, GROUND, max_members=3) for _ in range(120)
         ]
-        # agreement first
+        # agreement first (this also warms L(C) outside the timer)
         for t in targets:
-            assert implies_bitset(cset, t) == implies_lattice(cset, t)
-        cset.lattice_bitset()  # warm the cache outside the timer
+            assert implies_engine(cset, t) == implies_lattice(cset, t)
 
-        def decide_all_bitset():
-            return sum(implies_bitset(cset, t) for t in targets)
+        def decide_all_engine():
+            return sum(implies_engine(cset, t) for t in targets)
 
-        count = benchmark(decide_all_bitset)
+        count = benchmark(decide_all_engine)
         assert 0 <= count <= len(targets)

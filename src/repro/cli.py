@@ -8,11 +8,12 @@ reason about constraint files without writing Python:
     Theorem 3.5 counterexample on failure.
 
 ``plan``
-    Show the evaluation plan the engine planner resolves for a
-    workload -- tier and backend -- and, with ``--explain``, the
-    cost-model reasoning line by line.  Every engine subcommand shares
-    the same ``--engine auto|scalar|batched|incremental`` selection;
-    the planner resolves the numeric backend.
+    Show the numeric backend the engine planner resolves for the
+    constraint file's ground set and, with ``--explain``, the
+    cost-model reasoning line by line, including the method
+    ``implies`` would take.  The question fixes the evaluation
+    context: ``implies`` runs on a one-shot ``EvalContext``, while
+    ``stream`` and ``serve`` hold a live ``IncrementalEvalContext``.
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -52,7 +53,7 @@ reason about constraint files without writing Python:
 
 Both ``stream`` and ``serve`` accept ``--data-dir`` (durability) and
 ``--fsync always|never`` (WAL sync policy), and print the resolved
-plan as a ``# engine: tier=..., backend=...`` stamp line.
+plan as a ``# engine: backend=...`` stamp line.
 
 Constraint files are plain text: first line the ground set (e.g.
 ``ABCD``), then one constraint per line in ``A -> B, CD`` syntax; ``#``
@@ -74,11 +75,10 @@ from repro.core import (
     derive,
     find_uncovered,
 )
+from repro.engine.context import EvalContext
 from repro.engine.plan import (
     EngineConfig,
     Plan,
-    TIERS,
-    Workload,
     build_context,
     default_planner,
 )
@@ -132,16 +132,14 @@ def _read(path: str) -> List[str]:
 
 
 def engine_config_from_args(args) -> EngineConfig:
-    """One :class:`EngineConfig` from the shared ``engine`` argparse
-    group -- the single place CLI engine flags become configuration.
+    """One :class:`EngineConfig` from the parsed arguments -- the single
+    place CLI flags become engine configuration.
 
-    ``--engine`` requests a tier (``auto`` lets the planner choose);
-    the planner resolves the backend.  Durability flags
+    The planner resolves the backend; the durability flags
     (``--data-dir``/``--snapshot-every``/``--fsync``) ride along when
     the subcommand has them.
     """
     return EngineConfig(
-        engine=getattr(args, "engine", "auto"),
         durable=getattr(args, "data_dir", None),
         snapshot_every=getattr(args, "snapshot_every", None),
         fsync=getattr(args, "fsync", "always"),
@@ -158,11 +156,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 
     ground, cset = parse_constraint_file(_read(args.file))
     target = DifferentialConstraint.parse(ground, args.target)
-    config = engine_config_from_args(args)
-    plan = default_planner().plan(
-        Workload(n=ground.size, constraints=len(cset), queries=1), config
-    )
-    context = build_context(plan, ground)
+    context = EvalContext(backend=default_planner().plan(ground.size).backend)
     answer = decide(cset, target, method=args.method, context=context)
     print(f"{'IMPLIED' if answer else 'NOT IMPLIED'}: {target!r}", file=out)
     if not answer and args.counterexample:
@@ -173,9 +167,8 @@ def _cmd_implies(args, out: TextIO) -> int:
             file=out,
         )
         if ground.is_dense_capable():
-            # re-check the Theorem 3.5 witness on the selected backend
-            backend = context.backend
-            exact = backend.exact if backend is not None else True
+            # re-check the Theorem 3.5 witness on the planned backend
+            exact = context.exact
             f_u = principal_ideal_function(ground, u, exact=exact)
             ok = cset.satisfied_by(f_u) and not target.satisfied_by(f_u)
             kind = "exact" if exact else "float"
@@ -187,23 +180,8 @@ def _cmd_implies(args, out: TextIO) -> int:
 def _cmd_plan(args, out: TextIO) -> int:
     """``repro plan [--explain]``: show the planner's resolution."""
     ground, cset = parse_constraint_file(_read(args.file))
-    config = engine_config_from_args(args)
-    density_size = 0
-    streaming = False
-    if args.baskets:
-        basket_ground, db = parse_basket_file(_read(args.baskets))
-        ground.check_same(basket_ground)
-        density_size = len(db.multiset_counts())
-        streaming = True
-    workload = Workload(
-        n=ground.size,
-        constraints=len(cset),
-        density_size=density_size,
-        streaming=streaming,
-        queries=0 if streaming else 1,
-    )
     planner = default_planner()
-    plan = planner.plan(workload, config)
+    plan = planner.plan(ground.size)
     if args.explain:
         print(plan.explain(), file=out)
         method, why = planner.decide_method(
@@ -385,28 +363,15 @@ def _cmd_serve(args, out: TextIO) -> int:
     queries = parse_query_file(ground, _read(args.queries))
     config = engine_config_from_args(args)
     instance = None
+    plan = default_planner().plan(ground.size, config)
     if args.baskets:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
-        counts = db.multiset_counts()
-        # the live instance is always the incremental tier: it is the
-        # only tier that holds a density
-        plan = default_planner().plan(
-            Workload(n=ground.size, density_size=len(counts), streaming=True),
-            config.replace(engine="incremental"),
-        )
-        instance = build_context(plan, ground, density=counts)
+        instance = build_context(plan, ground, density=db.multiset_counts())
     elif any(kind == "check" for kind, _ in queries):
         raise ValueError(
             "'check' queries need a live instance: no live instance was "
             "loaded (pass --baskets)"
-        )
-    else:
-        plan = default_planner().plan(
-            Workload(
-                n=ground.size, constraints=len(cset), queries=len(queries)
-            ),
-            config,
         )
     print(_engine_stamp_line(plan), file=out)
     answers, stats = serve_queries(
@@ -414,7 +379,6 @@ def _cmd_serve(args, out: TextIO) -> int:
         queries,
         instance=instance,
         max_batch=args.batch_size,
-        config=config,
     )
     failures = 0
     for (kind, constraint), answer in zip(queries, answers):
@@ -533,7 +497,6 @@ def _cmd_fleet(args, out: TextIO) -> int:
             sys.executable, "-m", "repro", "serve", args.file,
             "--port", "0", "--host", args.host,
             "--queue-size", str(args.queue_size),
-            "--engine", args.engine,
         ]
         if data_dirs[index]:
             cmd += ["--data-dir", data_dirs[index], "--fsync", args.fsync]
@@ -585,34 +548,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "engine", "lattice", "bitset", "sat", "fd"],
+        choices=["auto", "engine", "lattice", "sat", "fd"],
     )
     p.add_argument(
         "--counterexample",
         action="store_true",
         help="print the Theorem 3.5 witness when not implied",
     )
-    _add_engine_flags(p)
     p.set_defaults(run=_cmd_implies)
 
     p = sub.add_parser(
         "plan",
-        help="show the evaluation plan the engine planner resolves for "
-        "a workload (--explain prints the cost-model reasoning)",
+        help="show the backend the engine planner resolves for the "
+        "ground set (--explain prints the cost-model reasoning)",
     )
     p.add_argument("file", help="constraint file ('-' for stdin)")
-    p.add_argument(
-        "--baskets",
-        default=None,
-        help="basket file: plan for a live (streaming) instance of "
-        "this size instead of one-shot queries",
-    )
     p.add_argument(
         "--explain",
         action="store_true",
         help="print the planner's reasoning, one line per decision",
     )
-    _add_engine_flags(p)
     p.set_defaults(run=_cmd_plan)
 
     p = sub.add_parser("derive", help="print a checked derivation")
@@ -666,7 +621,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seed the instance from a basket file before replaying",
     )
-    _add_engine_flags(p)
     _add_durability_flags(p)
     p.set_defaults(run=_cmd_stream)
 
@@ -713,7 +667,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="backpressure bound: concurrent requests admitted before "
         "the service answers 503 (default 128)",
     )
-    _add_engine_flags(p)
     _add_durability_flags(p)
     p.add_argument(
         "--ship-to",
@@ -766,12 +719,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recovery boot: swap the roots -- workers recover from "
         "--standby-root and ship back toward --data-root",
-    )
-    p.add_argument(
-        "--engine",
-        default="auto",
-        choices=("auto",) + TIERS,
-        help="evaluation tier passed to every worker (default auto)",
     )
     p.add_argument(
         "--queue-size",
@@ -827,24 +774,6 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
         choices=["always", "never"],
         help="WAL sync policy: 'always' fsyncs each commit (default), "
         "'never' leaves flushing to the OS",
-    )
-
-
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    """The shared engine-selection group (one definition, every
-    subcommand): ``--engine``."""
-    grp = p.add_argument_group(
-        "engine",
-        "evaluation-engine selection: request a tier with --engine and "
-        "let the planner resolve the backend ('repro plan --explain' "
-        "shows the cost model)",
-    )
-    grp.add_argument(
-        "--engine",
-        default="auto",
-        choices=("auto",) + TIERS,
-        help="evaluation tier (default: auto -- the planner chooses "
-        "from the workload shape)",
     )
 
 

@@ -46,7 +46,6 @@ from repro.core.implication import (
     find_uncovered,
     find_uncovered_engine,
     find_uncovered_sat,
-    implies_bitset,
     implies_engine,
     implies_fd,
     implies_lattice,
@@ -99,7 +98,6 @@ __all__ = [
     "find_uncovered",
     "find_uncovered_engine",
     "find_uncovered_sat",
-    "implies_bitset",
     "implies_engine",
     "implies_fd",
     "implies_lattice",

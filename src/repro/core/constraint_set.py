@@ -184,8 +184,10 @@ class ConstraintSet:
     def lattice_bitset(self) -> np.ndarray:
         """``L(C)`` as a cached boolean table over all masks.
 
-        Useful when many implication queries are asked against the same
-        ``C``.  Built by the memoizing engine decider, so equal
+        Backs :meth:`iter_lattice`; repeated implication queries
+        against one ``C`` take ``method="engine"``, which decides
+        against the same cached table.  Built by the memoizing engine
+        decider, so equal
         constraint sets constructed independently (e.g. per CLI
         invocation) share one table via the fingerprint cache.  The
         returned array is **read-only** (it is the shared cache entry);

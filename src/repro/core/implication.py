@@ -19,10 +19,6 @@ implemented here:
     ``Y``) and test each against ``L(C)`` membership.  Exact; cost
     ``O(2^{|S|-|X|} * |C| * |Y|)``.  Kept as the scalar oracle.
 
-``method="bitset"``
-    Same containment decided against the cached dense ``L(C)`` table --
-    the right choice when many queries hit one ``C``.
-
 ``method="sat"``
     Refutation search: ``C |= c`` iff ``prop(C) and not prop(c)`` is
     unsatisfiable (Prop 5.4 + the well-known negminset containment).  Uses
@@ -37,7 +33,7 @@ implemented here:
     brain for the whole stack): ``fd`` when the instance is in the
     fragment, otherwise ``engine`` for dense-capable ground sets,
     otherwise ``sat``.  The planner's dense cutoff is the same constant
-    the context factory uses, so the auto heuristic and the engine's
+    the live context factory uses, so the auto heuristic and the engine's
     own applicability check can never disagree.
 
 :func:`find_uncovered` exposes the certificate: a set
@@ -59,7 +55,6 @@ __all__ = [
     "decide",
     "implies_engine",
     "implies_lattice",
-    "implies_bitset",
     "implies_sat",
     "implies_fd",
     "find_uncovered",
@@ -102,8 +97,6 @@ def decide(
         return implies_engine(cset, target, context=context)
     if method == "lattice":
         return implies_lattice(cset, target)
-    if method == "bitset":
-        return implies_bitset(cset, target)
     if method == "sat":
         return implies_sat(cset, target)
     if method == "fd":
@@ -175,13 +168,6 @@ def find_uncovered(
         if not cset.lattice_contains(u):
             return u
     return None
-
-
-def implies_bitset(constraints: Constraints, target: DifferentialConstraint) -> bool:
-    """Containment against the cached dense ``L(C)`` table."""
-    cset = _as_constraint_set(constraints, target)
-    table = cset.lattice_bitset()
-    return all(table[u] for u in target.iter_lattice())
 
 
 # ----------------------------------------------------------------------

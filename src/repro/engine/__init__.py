@@ -16,12 +16,13 @@ replaces three scalar hot paths with table-at-a-time computation:
   fingerprints;
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
-* :mod:`repro.engine.plan` -- the unified planner: :class:`EngineConfig`
-  (one configuration object: tier request, backend, durability, cache
-  budgets), :class:`Planner` (the explicit cost model mapping workload
-  shape to a :class:`Plan` over the scalar, batched and incremental
-  tiers), :func:`build_context`, the single factory every consumer
-  constructs evaluation contexts through, and the affinity-aware
+* :mod:`repro.engine.plan` -- the planner: :class:`EngineConfig` (one
+  configuration object: backend, tolerance, durability),
+  :class:`Planner` (the explicit cost model resolving the numeric
+  backend into a :class:`Plan` and the ``implies`` method),
+  :func:`build_context`, the one live factory (one-shot questions run
+  on a plain :class:`EvalContext`, live instances on an
+  :class:`IncrementalEvalContext` built here), and the affinity-aware
   :func:`effective_cpus` the fleet sizing consults;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
   a sparse live density with delta-maintained support/differential
@@ -82,12 +83,10 @@ from repro.engine.plan import (
     EngineConfig,
     Plan,
     Planner,
-    Workload,
     build_context,
     default_fleet_workers,
     default_planner,
     effective_cpus,
-    plan_of_context,
 )
 from repro.engine.incremental import (
     IncrementalEvalContext,
@@ -163,12 +162,10 @@ __all__ = [
     "EngineConfig",
     "Plan",
     "Planner",
-    "Workload",
     "build_context",
     "default_fleet_workers",
     "default_planner",
     "effective_cpus",
-    "plan_of_context",
     "IncrementalEvalContext",
     "add_on_subsets",
     "iter_subset_masks",

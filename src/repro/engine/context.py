@@ -12,9 +12,10 @@ to be threaded ad hoc through the library:
   and blocked tables between queries -- the process-wide shared cache
   unless a private one is requested.
 
-The planner's :func:`~repro.engine.plan.build_context` constructs one
-of these from a resolved plan; library callers mostly rely on
-:func:`default_context`.
+One-shot questions run on one of these directly (library callers
+mostly rely on :func:`default_context`); live instances run on the
+:class:`~repro.engine.incremental.IncrementalEvalContext` subclass that
+the planner's :func:`~repro.engine.plan.build_context` constructs.
 """
 
 from __future__ import annotations

@@ -65,6 +65,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.engine.net import (
     HttpService,
     ServiceError,
+    _HttpError,
     serve_http_connection,
     write_http_response,
 )
@@ -84,6 +85,10 @@ __all__ = [
 
 #: Tenant id assumed when a request carries none.
 DEFAULT_TENANT = "default"
+
+#: A tenant id is relayed upstream in a header line, so it must be
+#: header-safe: 1-128 visible ASCII characters (no spaces, no CR/LF).
+_TENANT_ID = re.compile(r"[\x21-\x7e]{1,128}")
 
 #: The line every worker prints once bound (also parsed by the CI e2e
 #: driver); the supervisor reads the real port from it, so workers can
@@ -589,6 +594,9 @@ class FleetRouter:
     * ``503`` -- the routed worker is saturated or restarting
       (worker-issued or router-issued; idempotent requests retry).
 
+    A tenant id that is not 1-128 visible ASCII characters is refused
+    with ``400`` and never relayed.
+
     Handled locally instead of relayed: ``GET /healthz`` (aggregated,
     health-gated: 200 only when every worker is up), ``GET /stats``
     (routing + quota counters), ``POST /shutdown`` (stops the fleet).
@@ -630,12 +638,22 @@ class FleetRouter:
 
     @staticmethod
     def tenant_of(headers: dict, body: dict) -> str:
-        """The tenant id a request routes/meters by."""
+        """The tenant id a request routes/meters by.
+
+        Raises ``_HttpError(400)`` for an id that is not 1-128 visible
+        ASCII characters: it is relayed in the upstream
+        ``X-Repro-Tenant`` header line, so a CR/LF in it would rewrite
+        the worker's request.
+        """
         tenant = headers.get("x-repro-tenant")
         if not tenant:
             tenant = body.get("tenant")
         if not isinstance(tenant, str) or not tenant:
-            tenant = DEFAULT_TENANT
+            return DEFAULT_TENANT
+        if not _TENANT_ID.fullmatch(tenant):
+            raise _HttpError(
+                400, "tenant ids are 1-128 visible ASCII characters"
+            )
         return tenant
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ path            method  body -> response
 ==============  ======  ====================================================
 ``/healthz``    GET     -> ``{"status", "transactions", "violated", ...}``
 ``/stats``      GET     -> microbatching counters + session state + the
-                        resolved engine plan (tier/backend, durability)
+                        resolved engine plan (backend, durability)
 ``/implies``    POST    ``{"constraint": "A -> B, CD"}`` -> ``{"implied"}``
 ``/check``      POST    ``{"constraint": ...}`` -> ``{"satisfied"}``
 ``/delta``      POST    ``{"ops": ["+ AB 3", "- C"]}`` (one transaction,
@@ -132,8 +132,9 @@ async def read_http_request(
     Raises
     ------
     _HttpError
-        With status 400 for malformed framing/JSON and 413 for bodies
-        over the 8 MiB cap.
+        With status 400 for malformed framing/JSON (including a
+        negative ``Content-Length``) and 413 for bodies over the 8 MiB
+        cap.
 
     Shared by :class:`ReproService` and the fleet router
     (:class:`repro.engine.fleet.FleetRouter`), so both speak exactly
@@ -160,6 +161,8 @@ async def read_http_request(
         length = int(headers.get("content-length", 0))
     except ValueError:
         raise _HttpError(400, "bad Content-Length")
+    if length < 0:
+        raise _HttpError(400, "negative Content-Length")
     if length > _MAX_BODY:
         raise _HttpError(413, f"body over {_MAX_BODY} bytes")
     body: dict = {}
@@ -453,11 +456,11 @@ class ReproService(HttpService):
         batches drain-ready: each ``/implies`` or ``/check`` joins
         whatever requests are already queued, never a timed window.
     config:
-        The :class:`repro.engine.EngineConfig` the service boots from:
-        with no ``session`` it is planned into the live session (via
-        the single :func:`repro.engine.plan.build_context` factory) and
-        it supplies the microbatcher's cache budgets; the resolved plan
-        is stamped into ``/stats`` under ``"engine"``.
+        The :class:`repro.engine.EngineConfig` an empty in-memory
+        session is built from when no ``session`` is given (ignored
+        otherwise: a given session already runs on its own config).
+        The session's resolved plan is stamped into ``/stats`` under
+        ``"engine"`` as ``{"backend", "durable"}``.
     """
 
     def __init__(
@@ -477,9 +480,6 @@ class ReproService(HttpService):
         super().__init__(host, port, on_ready)
         self._cset = constraints
         if session is None:
-            # the service boots from exactly one EngineConfig: the
-            # planner resolves it and the session constructs its
-            # context through the single build_context factory
             session = StreamSession(
                 constraints.ground,
                 constraints=getattr(constraints, "constraints", ()),
@@ -499,7 +499,6 @@ class ReproService(HttpService):
             constraints,
             instance=session.context,
             max_batch=max_batch,
-            config=config,
         )
         self._inflight = 0
         self._refused = 0

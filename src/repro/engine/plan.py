@@ -1,53 +1,48 @@
-"""The engine planner: one :class:`EngineConfig`, one cost model, one factory.
+"""The engine planner: one :class:`EngineConfig`, one cost model, one
+live factory.
 
-The engine has three evaluation tiers -- scalar deciders, the batched
-:class:`~repro.engine.context.EvalContext` and the delta-maintained
-:class:`~repro.engine.incremental.IncrementalEvalContext` -- with the
-durable :class:`~repro.engine.net.ReproService` and the fleet built on
-top of the incremental one.  Policy lives in one place and flows
-*down*:
+Which evaluation context a caller runs on is fixed by the question it
+asks, so the planner never chooses it:
 
-* :class:`EngineConfig` is the single user-facing configuration object:
-  a tier request (``engine="auto"`` or a pinned tier) plus optional
-  pinned knobs (backend, durability, cache budgets).  Everything left
-  ``None`` is resolved by the planner.
-* :class:`Workload` describes the job: ground-set size ``n``, constraint
-  count, expected delta rate, live-density size and query count.
-* :class:`Planner` maps ``(Workload, EngineConfig)`` to a :class:`Plan`
-  through an explicit, documented cost model whose thresholds are fixed
-  class constants.
-* :func:`build_context` is the **only** place evaluation contexts are
-  constructed from a plan; every consumer (CLI, stream sessions, basket
-  databases, FD checkers, the network service) routes through it.
+* one-shot questions -- implication ``C |= X -> Y`` (Theorem 3.5
+  containment, the Prop 5.4 reduction, the FD fragment) -- run on a
+  stateless :class:`~repro.engine.context.EvalContext`;
+* a live instance, whose Definition 3.1 satisfaction is re-asked after
+  every delta, runs on an
+  :class:`~repro.engine.incremental.IncrementalEvalContext` built by
+  :func:`build_context`, the one live factory (stream sessions, served
+  basket files, discovery over a basket database).  The durable
+  :class:`~repro.engine.net.ReproService` and the fleet are built on
+  top of it.
+
+Policy lives in one place and flows *down*:
+
+* :class:`EngineConfig` is the single configuration object: an
+  optional pinned backend, the zero tolerance and durability
+  (``durable`` / ``snapshot_every`` / ``fsync``).  A ``None`` backend
+  is resolved by the planner.
+* :class:`Planner` resolves two things through an explicit cost model
+  whose thresholds are fixed class constants: :meth:`Planner.plan`
+  picks the numeric backend for a ground set of ``n`` elements, and
+  :meth:`Planner.decide_method` picks the implication method.
 
 The cost model
 --------------
-
-Tier (cheapest adequate tier wins; ``engine=`` pins it):
-
-========== ==========================================================
-scalar      ``n > DENSE_LIMIT`` (dense ``2^n`` tables impossible) or a
-            degenerate ground set (``n <= SCALAR_MAX_N``: at most two
-            subsets, table machinery cannot pay for itself).
-batched     One-shot questions (no deltas expected): build tables once
-            through the batched engine, memoize by fingerprint.
-incremental Streaming instances (``streaming`` or a nonzero
-            ``delta_rate``): ``O(2^n)`` per delta beats ``O(n * 2^n)``
-            rebuilds as soon as anything changes twice.
-========== ==========================================================
 
 Backend (``backend=`` pins it) -- two rungs: ``exact`` (int64
 ndarrays with overflow-checked promotion to object dtype) whenever
 ``tol == 0`` demands exact zero tests or ``n < FLOAT_MIN_N``; ``float``
 otherwise, where float64 butterflies are marginally leaner (no
 promotion checks) and the nonzero tolerance absorbs representation
-error (E20 measures both rebuilds).
+error (E20 measures both rebuilds).  One-shot and live contexts share
+the rule: the live density is a sparse dict on either backend.
 
-Implication methods reuse the same brain: :meth:`Planner.decide_method`
-resolves ``method="auto"`` for :func:`repro.core.implication.decide`
-(``fd`` fragment -> attribute closure, dense-capable -> batched engine,
-otherwise -> SAT refutation), so the decider and the context factory can
-never disagree about the dense limit again.
+Implication method: :meth:`Planner.decide_method` resolves
+``method="auto"`` for :func:`repro.core.implication.decide` (``fd``
+fragment -> attribute closure, dense-capable -> batched engine,
+otherwise -> SAT refutation).  Its dense cutoff is the same
+:data:`DENSE_LIMIT` the live factory refuses past, so the decider and
+the factory can never disagree.
 
 Like the rest of the engine this module imports nothing from
 :mod:`repro.core`; ground sets are duck-typed (``.size``).
@@ -60,25 +55,18 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.engine.context import EvalContext
-from repro.engine.incremental import DEFAULT_TOLERANCE
+from repro.engine.incremental import DEFAULT_TOLERANCE, IncrementalEvalContext
 from repro.errors import PlanError
 
 __all__ = [
     "EngineConfig",
-    "Workload",
     "Plan",
     "Planner",
-    "TIERS",
     "build_context",
     "default_fleet_workers",
     "default_planner",
     "effective_cpus",
-    "plan_of_context",
 ]
-
-#: The tiers, cheapest first.  ``auto`` is a request, not a tier.
-TIERS = ("scalar", "batched", "incremental")
 
 #: Mirrors ``repro.core.ground.MAX_DENSE_SIZE`` (engine layering keeps
 #: this module from importing core; the test suite asserts agreement).
@@ -88,30 +76,19 @@ DENSE_LIMIT = 22
 class EngineConfig:
     """One configuration object for the whole engine stack.
 
-    ``engine`` requests a tier (``"auto"`` lets the planner choose);
-    every other evaluation knob is either pinned here or left ``None``
-    for the planner to resolve.  Durability (``durable`` /
-    ``snapshot_every`` / ``fsync``) and cache budgets ride along so a
-    service boots from exactly one object.
+    ``backend`` pins the numeric backend (``None`` lets the planner
+    resolve it); ``tol`` is the zero tolerance of live constraint
+    checks.  Durability (``durable`` / ``snapshot_every`` / ``fsync``)
+    rides along so a service boots from exactly one object.
     """
 
-    engine: str = "auto"
     backend: Optional[str] = None
     durable: Optional[str] = None
     snapshot_every: Optional[int] = None
     fsync: str = "always"
     tol: float = DEFAULT_TOLERANCE
-    #: LRU budget for memoized server answers (ConstraintServer).
-    cache_size: int = 4096
-    #: Use a private ImplicationCache instead of the process-wide one.
-    private_cache: bool = False
 
     def __post_init__(self):
-        if self.engine not in ("auto",) + TIERS:
-            raise PlanError(
-                f"unknown engine tier {self.engine!r}; expected 'auto' "
-                f"or one of {', '.join(TIERS)}"
-            )
         if self.backend is not None and self.backend not in (
             "exact",
             "float",
@@ -129,52 +106,27 @@ class EngineConfig:
             raise PlanError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
             )
-        if self.cache_size < 1:
-            raise PlanError(f"cache_size must be >= 1, got {self.cache_size}")
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
 
 @dataclass(frozen=True)
-class Workload:
-    """What the planner knows about the job.
-
-    ``delta_rate`` is the expected density deltas per committed
-    transaction; ``density_size`` the number of distinct nonzero
-    density masks; ``queries`` the expected implication/check query
-    volume.
-    """
-
-    n: int
-    constraints: int = 0
-    delta_rate: float = 0.0
-    density_size: int = 0
-    queries: int = 0
-    streaming: bool = False
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise PlanError(f"ground-set size must be >= 0, got {self.n}")
-
-@dataclass(frozen=True)
 class Plan:
-    """A fully resolved evaluation plan: the tier and backend the
-    planner chose, the config it was resolved from, and why."""
+    """A resolved plan: the backend the planner chose, the config it
+    was resolved from, and why."""
 
-    tier: str
     backend: str
     config: EngineConfig
     reasons: Tuple[str, ...] = ()
 
     def stamp(self) -> str:
         """The one-line configuration stamp (CLI output, /stats)."""
-        return f"tier={self.tier}, backend={self.backend}"
+        return f"backend={self.backend}"
 
     def as_dict(self) -> dict:
         """JSON-friendly form (the service's ``/stats`` block)."""
         return {
-            "tier": self.tier,
             "backend": self.backend,
             "durable": bool(self.config.durable),
         }
@@ -191,8 +143,6 @@ class Planner:
     encode the measured crossovers from the E5/E16/E20 benchmarks.
     """
 
-    #: Ground sets this small have at most two subsets: stay scalar.
-    SCALAR_MAX_N = 1
     #: From here up, float64 tables edge out int64+promotion checks
     #: whenever a nonzero tolerance licenses lossy storage.
     FLOAT_MIN_N = 14
@@ -202,79 +152,36 @@ class Planner:
     FLEET_MAX_WORKERS = 8
 
     # ------------------------------------------------------------------
-    def plan(self, workload: Workload, config: Optional[EngineConfig] = None) -> Plan:
-        """Resolve a :class:`Plan` for ``workload`` under ``config``."""
+    def plan(self, n: int, config: Optional[EngineConfig] = None) -> Plan:
+        """Resolve the backend for a ground set of ``n`` elements under
+        ``config``."""
+        if n < 0:
+            raise PlanError(f"ground-set size must be >= 0, got {n}")
         if config is None:
             config = EngineConfig()
-        n = workload.n
-        reasons = []
-
-        tier = self._resolve_tier(workload, config, reasons)
-        if tier != "scalar" and n > DENSE_LIMIT:
-            raise PlanError(
-                f"tier {tier!r} builds dense 2^|S| tables; |S| = {n} "
-                f"exceeds the dense limit {DENSE_LIMIT} "
-                "(use engine='scalar' / method='sat')"
-            )
-
         backend = config.backend
         if backend is not None:
-            reasons.append(f"backend={backend}: pinned by config")
+            reason = f"backend={backend}: pinned by config"
         elif config.tol == 0:
             backend = "exact"
-            reasons.append(
+            reason = (
                 "backend=exact: tol=0 demands exact zero tests; int64 "
                 "tables with overflow-checked promotion keep them exact"
             )
         elif n >= self.FLOAT_MIN_N:
             backend = "float"
-            reasons.append(
+            reason = (
                 f"backend=float: |S|={n} >= {self.FLOAT_MIN_N}, float64 "
                 f"2^n tables skip promotion checks and tol={config.tol:g} "
                 "absorbs fp error"
             )
         else:
             backend = "exact"
-            reasons.append(
+            reason = (
                 f"backend=exact: |S|={n} < {self.FLOAT_MIN_N}, int64 "
                 "tables are as fast as float64 here and lossless"
             )
-
-        return Plan(
-            tier=tier, backend=backend, config=config, reasons=tuple(reasons)
-        )
-
-    def _resolve_tier(self, workload, config, reasons) -> str:
-        n = workload.n
-        if config.engine != "auto":
-            reasons.append(f"tier={config.engine}: pinned by config")
-            return config.engine
-        live = workload.streaming or workload.delta_rate > 0
-        if n > DENSE_LIMIT:
-            reasons.append(
-                f"tier=scalar: |S|={n} > dense limit {DENSE_LIMIT}, "
-                "2^n tables are impossible (scalar/SAT paths only)"
-            )
-            return "scalar"
-        if not live:
-            if n <= self.SCALAR_MAX_N:
-                reasons.append(
-                    f"tier=scalar: |S|={n} <= {self.SCALAR_MAX_N}, the "
-                    "table machinery cannot pay for itself"
-                )
-                return "scalar"
-            reasons.append(
-                "tier=batched: one-shot workload (no deltas expected); "
-                "build tables once, memoize by fingerprint"
-            )
-            return "batched"
-        reasons.append(
-            "tier=incremental: streaming workload "
-            f"(density={workload.density_size}, "
-            f"delta_rate={workload.delta_rate:g}); O(2^n) per delta "
-            "beats O(n * 2^n) rebuilds"
-        )
-        return "incremental"
+        return Plan(backend=backend, config=config, reasons=(reason,))
 
     # ------------------------------------------------------------------
     def decide_method(
@@ -283,8 +190,8 @@ class Planner:
         """Resolve ``method="auto"`` for the implication decider.
 
         Returns ``(method, reason)``.  One brain for the whole stack:
-        the dense cutoff here is the same :data:`DENSE_LIMIT` the tier
-        model uses, so the decider and the context factory cannot
+        the dense cutoff here is the same :data:`DENSE_LIMIT` the live
+        factory enforces, so the decider and the factory cannot
         disagree.
         """
         if fd_fragment:
@@ -351,60 +258,27 @@ def default_fleet_workers(cpus: Optional[int] = None) -> int:
 def build_context(
     plan: Plan, ground, density=None, constraints=(), cache=None
 ):
-    """The one context factory: a resolved :class:`Plan` becomes the
-    matching evaluation context.  Nothing else in the library (CLI,
-    sessions, databases, checkers, services) constructs contexts.
+    """The one live factory: a resolved :class:`Plan` becomes an
+    :class:`~repro.engine.incremental.IncrementalEvalContext` seeded
+    with ``density``/``constraints`` on the plan's backend.  Stream
+    sessions, served basket files and discovery over a basket database
+    all build their live instance here; one-shot callers use a plain
+    :class:`~repro.engine.context.EvalContext` instead.
 
-    ``scalar``/``batched`` plans yield a stateless
-    :class:`~repro.engine.context.EvalContext` (scalar plans force no
-    backend so operands keep their own storage); ``incremental`` plans
-    yield an :class:`~repro.engine.incremental.IncrementalEvalContext`
-    seeded with ``density``/``constraints``.
+    Raises :class:`~repro.errors.PlanError` past :data:`DENSE_LIMIT`:
+    the live context keeps dense ``2^|S|`` views.
     """
-    config = plan.config
-    if plan.tier not in TIERS:
-        raise PlanError(f"unknown plan tier {plan.tier!r}")
-    if plan.tier != "incremental":
-        if density or tuple(constraints):
-            raise PlanError(
-                f"plan tier {plan.tier!r} builds a stateless context; "
-                "live density/constraints need the incremental tier"
-            )
-        return EvalContext(
-            backend=None if plan.tier == "scalar" else plan.backend,
-            cache=cache,
-            private_cache=config.private_cache,
+    if ground.size > DENSE_LIMIT:
+        raise PlanError(
+            f"live contexts keep dense 2^|S| views; |S| = {ground.size} "
+            f"exceeds the dense limit {DENSE_LIMIT} (one-shot "
+            "implication takes method='sat')"
         )
-    from repro.engine.incremental import IncrementalEvalContext
-
     return IncrementalEvalContext(
         ground,
         density=density,
         constraints=constraints,
         backend=plan.backend,
-        tol=config.tol,
+        tol=plan.config.tol,
         cache=cache,
-        private_cache=config.private_cache,
-    )
-
-
-def plan_of_context(context, config: Optional[EngineConfig] = None) -> Plan:
-    """Describe an existing context as a :class:`Plan` (for stamping
-    contexts that were built directly rather than planned)."""
-    from repro.engine.incremental import IncrementalEvalContext
-
-    backend = context.backend.name if context.backend is not None else "inherit"
-    if isinstance(context, IncrementalEvalContext):
-        tier = "incremental"
-    else:
-        tier = "batched" if context.backend is not None else "scalar"
-    if config is None:
-        config = EngineConfig(
-            engine=tier, backend=None if backend == "inherit" else backend
-        )
-    return Plan(
-        tier=tier,
-        backend=backend,
-        config=config,
-        reasons=(f"described from a live {type(context).__name__}",),
     )

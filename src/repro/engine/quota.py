@@ -111,10 +111,17 @@ class QuotaPolicy:
     __slots__ = ("rate", "burst")
 
     def __init__(self, rate: Optional[float] = None, burst: Optional[float] = None):
-        if rate is not None and rate <= 0:
-            raise ValueError(f"quota rate must be > 0 req/s, got {rate}")
-        if burst is not None and burst < 1:
-            raise ValueError(f"quota burst must be >= 1, got {burst}")
+        # negated range tests: NaN fails every comparison, so it is
+        # refused here instead of making a bucket that refills to full
+        # on every call (metering silently off)
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValueError(
+                f"quota rate must be a finite number > 0 req/s, got {rate}"
+            )
+        if burst is not None and not 1 <= burst < math.inf:
+            raise ValueError(
+                f"quota burst must be a finite number >= 1, got {burst}"
+            )
         self.rate = rate
         self.burst = burst if burst is not None else (
             max(1.0, rate) if rate is not None else None

@@ -100,15 +100,10 @@ class ConstraintServer:
         Batching is drain-ready -- a batch is whatever is already queued
         when the dispatcher wakes, and no timer ever holds it open.
     cache_size:
-        LRU bound on memoized answers (default: the config's budget
-        when one is supplied, else 4096).
+        LRU bound on memoized answers.
     cache:
         The :class:`ImplicationCache` handed to the decider (the
         process-wide shared one by default).
-    config:
-        An optional :class:`repro.engine.EngineConfig`: supplies the
-        answer-LRU budget (``cache_size``) and the private-cache flag,
-        so one config object configures the whole serving stack.
     """
 
     def __init__(
@@ -116,19 +111,13 @@ class ConstraintServer:
         constraints,
         instance=None,
         max_batch: int = 64,
-        cache_size: Optional[int] = None,
+        cache_size: int = 4096,
         cache: Optional[ImplicationCache] = None,
-        config=None,
     ):
-        if cache_size is None:
-            # one EngineConfig supplies the cache budgets for the whole
-            # serving stack (see repro.engine.plan); an explicit
-            # cache_size always wins over the config's budget
-            cache_size = config.cache_size if config is not None else 4096
-        if config is not None and cache is None and config.private_cache:
-            cache = ImplicationCache()
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self._cset = constraints
         self._cset_fp = constraint_set_fingerprint(constraints)
         self._instance = instance

@@ -28,8 +28,9 @@ and
 :meth:`StreamSession.snapshot` persists the live density with its
 consistency counters and compacts the log.  Reopening a session on the
 same directory recovers: load the newest snapshot, assert its counters
-against the seeded state, replay the log tail.  ``snapshot_every=N``
-snapshots automatically every ``N`` transactions.
+against the seeded state, replay the log tail.
+``EngineConfig(snapshot_every=N)`` snapshots automatically every ``N``
+transactions.
 
 Like the rest of the engine, this module imports nothing from
 :mod:`repro.core`; ground sets and constraints are duck-typed.
@@ -40,15 +41,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.decider import ImplicationCache
-from repro.engine.incremental import (
-    DEFAULT_TOLERANCE,
-    IncrementalEvalContext,
-    Number,
-)
+from repro.engine.incremental import IncrementalEvalContext, Number
 from repro.engine.plan import (
     EngineConfig,
     Plan,
-    Workload,
     build_context,
     default_planner,
 )
@@ -62,13 +58,12 @@ from repro.engine.persist import (
     snapshot_state,
     verify_recovered,
 )
-from repro.errors import PersistenceError, PlanError
+from repro.errors import PersistenceError
 
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
 
-#: The config a session runs on when none is given: the incremental
-#: tier on the exact backend.
-_DEFAULT_CONFIG = EngineConfig(engine="incremental", backend="exact")
+#: The config a session runs on when none is given: the exact backend.
+_DEFAULT_CONFIG = EngineConfig(backend="exact")
 
 
 def _recorded_backend(meta: dict) -> Optional[str]:
@@ -77,29 +72,6 @@ def _recorded_backend(meta: dict) -> Optional[str]:
     rung record ``"exact-vec"``, which is now ``"exact"``."""
     name = meta.get("backend")
     return "exact" if name == "exact-vec" else name
-
-
-def _session_config(
-    config: Optional[EngineConfig],
-    tol: float,
-    snapshot_every,
-    fsync: str,
-    private_cache: bool,
-) -> EngineConfig:
-    """``config`` (or the incremental/exact default) refined by the
-    session's explicit non-default keyword arguments."""
-    if config is None:
-        config = _DEFAULT_CONFIG
-    overrides = {}
-    if tol != DEFAULT_TOLERANCE and tol != config.tol:
-        overrides["tol"] = tol
-    if snapshot_every is not None:
-        overrides["snapshot_every"] = snapshot_every
-    if fsync != "always":
-        overrides["fsync"] = fsync
-    if private_cache:
-        overrides["private_cache"] = private_cache
-    return config.replace(**overrides) if overrides else config
 
 
 #: One parsed log operation: ``("delta", mask, amount)`` adds ``amount``
@@ -148,12 +120,14 @@ class StreamSession:
     ``density`` seeds the instance (e.g. a basket database's multiset
     counts) without counting as a transaction.  Engine policy comes in
     as one :class:`~repro.engine.plan.EngineConfig` (``config=``; by
-    default the incremental tier on the exact backend): the planner
-    resolves it to a :class:`~repro.engine.plan.Plan` and the live
-    context is built through the single
-    :func:`~repro.engine.plan.build_context` factory.  The explicit
-    ``tol``/``snapshot_every``/``fsync``/``private_cache`` keywords
-    refine the config when they differ from their defaults.
+    default the exact backend): the planner resolves its backend and
+    the live :class:`~repro.engine.incremental.IncrementalEvalContext`
+    is built through the one live factory,
+    :func:`~repro.engine.plan.build_context`, which refuses ground sets
+    past the dense limit with :class:`~repro.errors.PlanError`.
+    ``config.tol`` is the zero tolerance of the constraint checks.
+    ``cache`` is the :class:`~repro.engine.decider.ImplicationCache`
+    the context memoizes into (the process-wide one by default).
 
     ``config.durable`` (a data-directory path or a
     :class:`~repro.engine.persist.DurableStore`) makes the session
@@ -163,9 +137,10 @@ class StreamSession:
     *recovers* -- the provided ``density`` must then either be ``None``
     or match the recorded seed fingerprint, so reopening a grown
     instance from the same source database is checked, not assumed.
-    ``fsync`` is the WAL policy (``"always"``/``"never"``);
-    ``snapshot_every=N`` auto-snapshots (and compacts the log) every
-    ``N`` committed transactions.
+    ``config.fsync`` is the WAL policy (``"always"``/``"never"``);
+    ``config.snapshot_every=N`` auto-snapshots (and compacts the log)
+    every ``N`` committed transactions; ``retain`` is how many
+    snapshots the store keeps.
     """
 
     def __init__(
@@ -173,23 +148,14 @@ class StreamSession:
         ground,
         constraints: Iterable = (),
         density=None,
-        tol: float = DEFAULT_TOLERANCE,
         cache: Optional[ImplicationCache] = None,
-        private_cache: bool = False,
-        snapshot_every: Optional[int] = None,
-        fsync: str = "always",
         retain: int = 2,
         config: Optional[EngineConfig] = None,
     ):
-        config = _session_config(
-            config, tol, snapshot_every, fsync, private_cache
-        )
+        if config is None:
+            config = _DEFAULT_CONFIG
         self._config = config
         constraints = tuple(constraints)
-        if config.snapshot_every is not None and config.snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {config.snapshot_every}"
-            )
         self._snapshot_every = config.snapshot_every
         self._wedged = False
         self._store: Optional[DurableStore] = None
@@ -214,21 +180,7 @@ class StreamSession:
                 # session.config must describe the session as it runs:
                 # consumers forward it to build sibling components
                 self._config = config
-        self._plan = default_planner().plan(
-            Workload(
-                n=ground.size,
-                constraints=len(constraints),
-                density_size=len(density) if density else 0,
-                streaming=True,
-            ),
-            config,
-        )
-        if self._plan.tier != "incremental":
-            raise PlanError(
-                f"stream sessions need a live tier, but the planner "
-                f"resolved {self._plan.tier!r} for |S| = {ground.size}; "
-                "live 2^n tables are required"
-            )
+        self._plan = default_planner().plan(ground.size, config)
         recovered = None
         if self._store is not None and not self._store.is_empty():
             recovered = self._store.recover()

@@ -93,8 +93,8 @@ class WalGapError(PersistenceError):
 
 class PlanError(ReproError, ValueError):
     """Raised by the engine planner when a requested configuration is
-    unsatisfiable (e.g. a forced live tier over a ground set too large
-    for dense tables, or contradictory pinned knobs)."""
+    unsatisfiable (e.g. a live context over a ground set too large for
+    dense tables, or an unknown backend or fsync policy)."""
 
 
 class NotImpliedError(ReproError):

@@ -51,13 +51,12 @@ def _as_function(source, config=None):
     (which itself implements the set-function protocol); incremental
     contexts pass through directly.
 
-    ``config`` (an :class:`repro.engine.EngineConfig`) routes a basket
-    database through the engine planner instead of the plain sparse
-    support function: the planner picks the tier for the database's
-    size and the mining runs over the resulting live context (with
-    cached, delta-invalidated zero sets) -- the single
-    :func:`repro.engine.plan.build_context` factory is the only place
-    the context is constructed.
+    ``config`` (an :class:`repro.engine.EngineConfig`) turns a basket
+    database into a live context instead of the plain sparse support
+    function: the planner resolves the backend for the database's size
+    and :func:`repro.engine.plan.build_context`, the one live factory,
+    builds the context the mining runs over (with cached,
+    delta-invalidated zero sets).
     """
     from repro.engine.stream import StreamSession
 
@@ -65,22 +64,12 @@ def _as_function(source, config=None):
         return source.context
     if isinstance(source, BasketDatabase):
         if config is not None:
-            from repro.engine.plan import (
-                Workload,
-                build_context,
-                default_planner,
-            )
+            from repro.engine.plan import build_context, default_planner
 
-            counts = source.multiset_counts()
-            plan = default_planner().plan(
-                Workload(
-                    n=source.ground.size,
-                    density_size=len(counts),
-                    streaming=True,
-                ),
-                config,
+            plan = default_planner().plan(source.ground.size, config)
+            return build_context(
+                plan, source.ground, density=source.multiset_counts()
             )
-            return build_context(plan, source.ground, density=counts)
         return source.support_function()
     return source
 

@@ -144,11 +144,9 @@ class StreamingFDChecker:
     every insert/delete reports exactly which FDs it newly violated or
     restored -- no quadratic re-scan of the relation per check.
 
-    Engine policy (tier, backend) comes in as one
-    :class:`repro.engine.EngineConfig` (``config=``; by default the
-    incremental tier on the exact backend), resolved by the planner and
-    built through the single :func:`repro.engine.plan.build_context`
-    factory.
+    Engine policy comes in as one :class:`repro.engine.EngineConfig`
+    (``config=``; by default the exact backend), resolved by the
+    planner into the live session's context.
 
     ``config.durable`` (a data directory) makes the checker
     crash-proof: the durable state is the *rows* (the agreement
@@ -158,7 +156,9 @@ class StreamingFDChecker:
     directory recovers the relation and re-derives the pairwise density
     through a fresh session (an ``O(rows^2)`` rebuild, asserted against
     the snapshot's violation counters).  Durable rows must be
-    JSON-round-trippable tuples.
+    JSON-round-trippable tuples.  ``config.fsync`` is the row log's
+    sync policy, ``config.snapshot_every=N`` snapshots every ``N`` row
+    operations, and ``retain`` is how many snapshots the store keeps.
     """
 
     def __init__(
@@ -166,52 +166,38 @@ class StreamingFDChecker:
         ground: GroundSet,
         fds: Iterable[FunctionalDependency] = (),
         config=None,
-        snapshot_every=None,
-        fsync: str = "always",
         retain: int = 2,
-        **session_kwargs,
     ):
         from repro.engine.persist import DurableStore
         from repro.engine.plan import EngineConfig
         from repro.engine.stream import StreamSession
 
         if config is None:
-            config = EngineConfig(engine="incremental", backend="exact")
+            config = EngineConfig(backend="exact")
         durable = config.durable
-        if durable is not None:
-            # the checker's durable state is the *rows* (the agreement
-            # density is derived): the store is ours, the engine session
-            # underneath stays in-memory
-            config = config.replace(durable=None)
-        if snapshot_every is None and config.snapshot_every is not None:
-            snapshot_every = config.snapshot_every
-        if fsync == "always":
-            fsync = config.fsync
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
         self._ground = ground
         self._fds: List[FunctionalDependency] = list(fds)
         self._by_constraint = {
             fd.to_differential(): fd for fd in self._fds
         }
+        # the checker's durable state is the *rows* (the agreement
+        # density is derived): the store is ours, the engine session
+        # underneath stays in-memory
         self._session = StreamSession(
             ground,
             constraints=tuple(self._by_constraint),
-            config=config,
-            **session_kwargs,
+            config=config.replace(durable=None),
         )
         self._rows: Counter = Counter()
         self._row_tx = 0
-        self._snapshot_every = snapshot_every
+        self._snapshot_every = config.snapshot_every
         self._wedged = False
         self._store = None
         if durable is not None:
             self._store = (
                 durable
                 if isinstance(durable, DurableStore)
-                else DurableStore(durable, fsync=fsync, retain=retain)
+                else DurableStore(durable, fsync=config.fsync, retain=retain)
             )
             if self._store.is_empty():
                 self._store.write_meta(

@@ -98,7 +98,7 @@ class TestImplicationFacade:
         for _ in range(30):
             cs = random_constraint_set(rng, ground_abcd, 2, max_members=2)
             t = random_constraint(rng, ground_abcd, max_members=2)
-            assert cs.implies(t, "lattice") == cs.implies(t, "sat") == cs.implies(t, "bitset")
+            assert cs.implies(t, "lattice") == cs.implies(t, "sat") == cs.implies(t, "engine")
 
 
 class TestCovers:

@@ -11,7 +11,7 @@ from repro.core import (
     fd_closure,
     find_uncovered,
     find_uncovered_sat,
-    implies_bitset,
+    implies_engine,
     implies_fd,
     implies_lattice,
     implies_sat,
@@ -26,13 +26,13 @@ class TestExample34:
     def test_transitive_implication(self, ground_abc):
         cs = ConstraintSet.of(ground_abc, "A -> B", "B -> C")
         t = DifferentialConstraint.parse(ground_abc, "A -> C")
-        for method in ("lattice", "bitset", "sat", "fd", "auto"):
+        for method in ("lattice", "engine", "sat", "fd", "auto"):
             assert decide(cs, t, method), method
 
     def test_converse_fails(self, ground_abc):
         cs = ConstraintSet.of(ground_abc, "A -> B", "B -> C")
         t = DifferentialConstraint.parse(ground_abc, "C -> A")
-        for method in ("lattice", "bitset", "sat", "fd", "auto"):
+        for method in ("lattice", "engine", "sat", "fd", "auto"):
             assert not decide(cs, t, method), method
 
 
@@ -47,10 +47,10 @@ class TestTheorem35:
                 rng, ground_abcd, max_members=3, allow_empty_member=True
             )
             lat = implies_lattice(cs, t)
-            bit = implies_bitset(cs, t)
+            eng = implies_engine(cs, t)
             sat = implies_sat(cs, t)
             sem = semantic_implies_over_ideals(cs, t)
-            assert lat == bit == sat == sem
+            assert lat == eng == sat == sem
 
     def test_trivial_target_always_implied(self, ground_abcd, rng):
         t = DifferentialConstraint.parse(ground_abcd, "AB -> B")

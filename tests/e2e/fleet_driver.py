@@ -9,7 +9,8 @@ with **SIGKILL** (router and workers, no drain, no snapshot) and boots
 ``repro fleet --takeover`` on the shipped standby directories.  Every
 recovered answer must match the state the clients had acknowledged
 before the crash -- the WAL-shipping invariant, asserted across the
-process boundary.  Also exercised: quota 429s (distinct from 503s),
+process boundary.  Also exercised: a tenant id carrying CR/LF is
+refused with 400 and never relayed, quota 429s (distinct from 503s),
 restart-on-crash supervision, a graceful SIGTERM drain exiting 0, and
 a boot on a router port the driver holds: it must exit nonzero and
 take its already-started worker down with it.
@@ -21,6 +22,8 @@ Exits 0 on success, 1 on any mismatch (with a diagnostic).
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 import signal
@@ -121,6 +124,21 @@ def boot_on_held_port(constraint_path: str):
     return done.returncode, int(match.group(2)) if match else None
 
 
+def post_status(port: int, path: str, body: dict) -> int:
+    """POST ``body`` as JSON and return the bare HTTP status code."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            "POST", path, json.dumps(body),
+            {"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
 def refuses_connections(port: int, timeout: float = 5.0) -> bool:
     """Whether ``127.0.0.1:port`` refuses connections within ``timeout``."""
     deadline = time.monotonic() + timeout
@@ -219,6 +237,23 @@ def main() -> int:
             f"{[w['routed'] for w in stats['workers']]}",
         )
         expect(stats["throttled"] == 0, "no quota refusals while unmetered")
+
+        # --- phase 1b: a header-unsafe tenant is refused, not relayed --
+        # the router formats the tenant into the upstream
+        # X-Repro-Tenant line, so CR/LF in it would forge a request
+        status = post_status(
+            port, "/delta",
+            {"tenant": "acme\r\nX-Injected: 1\r\n\r\n", "ops": ["+ A"]},
+        )
+        expect(status == 400, f"CRLF body tenant answered 400 (got {status})")
+        expect(
+            client.health()["status"] == "ok",
+            "/healthz stays 200 after the refused tenant",
+        )
+        expect(
+            client.stats()["relayed"] == stats["relayed"],
+            "the refused request was never relayed",
+        )
 
         # --- phase 2: SIGKILL the whole fleet mid-stream --------------
         pre = observe(port)

@@ -154,6 +154,41 @@ class TestTenantQuotas:
             QuotaPolicy(rate=1, burst=0.5)
         assert QuotaPolicy(rate=0.2).burst == 1.0  # floor at one token
 
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [
+            (float("nan"), None),
+            (float("inf"), None),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+        ],
+    )
+    def test_policy_rejects_non_finite_rate_and_burst(self, rate, burst):
+        # NaN passes a `rate <= 0` test, and a bucket's min(burst, nan)
+        # refill would then admit every request
+        with pytest.raises(ValueError, match="finite"):
+            QuotaPolicy(rate=rate, burst=burst)
+
+    def test_cli_refuses_a_nan_quota_rate(self, tmp_path, monkeypatch):
+        import io
+
+        from repro.cli import main
+        from repro.engine import fleet
+
+        def must_not_boot(*args, **kwargs):
+            raise AssertionError("the fleet booted with a NaN quota")
+
+        monkeypatch.setattr(fleet, "FleetService", must_not_boot)
+        path = tmp_path / "c.txt"
+        path.write_text("AB\nA -> B\n")
+        out = io.StringIO()
+        code = main(
+            ["fleet", str(path), "--workers", "1", "--quota-rate", "nan"],
+            out=out,
+        )
+        assert code == 2
+        assert "finite" in out.getvalue()
+
 
 # ----------------------------------------------------------------------
 # fleet worker-count planning
@@ -498,6 +533,53 @@ class TestFleetRouterUnits:
         assert FleetRouter.tenant_of({}, {"tenant": "b"}) == "b"
         assert FleetRouter.tenant_of({}, {}) == DEFAULT_TENANT
         assert FleetRouter.tenant_of({}, {"tenant": 7}) == DEFAULT_TENANT
+        # perfbench's and the e2e driver's tenants stay valid
+        for tenant in ("t0", "t1", "acme", "acme-7", "x" * 128):
+            assert FleetRouter.tenant_of({}, {"tenant": tenant}) == tenant
+
+    @pytest.mark.parametrize(
+        "tenant",
+        ["a\r\nX-Injected: 1\r\n\r\n{}", "two words", "x" * 129, "caf\u00e9"],
+    )
+    def test_unsafe_tenant_is_400_and_never_relayed(self, tenant):
+        """A tenant id is relayed in the upstream ``X-Repro-Tenant``
+        line, so a CR/LF in it would rewrite the worker's request."""
+        import asyncio
+        import json
+
+        router = FleetRouter(FleetSupervisor([["unused"]]))
+
+        async def roundtrip():
+            server = await asyncio.start_server(
+                router.handle_connection, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                body = json.dumps({"tenant": tenant, "constraint": "A -> B"})
+                writer.write(
+                    (
+                        "POST /implies HTTP/1.1\r\n"
+                        f"Content-Length: {len(body.encode())}\r\n\r\n"
+                        f"{body}"
+                    ).encode()
+                )
+                await writer.drain()
+                response = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return response
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        response = asyncio.run(roundtrip())
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"visible ASCII" in response
+        stats = router.stats_payload()
+        assert stats["relayed"] == stats["unrouteable"] == 0
 
     def test_supervisor_needs_workers(self):
         with pytest.raises(ValueError):

@@ -51,20 +51,18 @@ class TestWireProtocol:
         stats = client.stats()
         assert stats["refused"] == 0
         # the resolved engine plan is stamped into /stats
-        assert stats["engine"]["tier"] == "incremental"
         assert stats["engine"]["backend"] == "exact"
         assert stats["engine"]["durable"] is False
         # the engine block names the plan, nothing else
-        assert set(stats["engine"]) == {"tier", "backend", "durable"}
+        assert set(stats["engine"]) == {"backend", "durable"}
 
     def test_boot_from_one_engine_config(self, cset):
         handle = ReproService(
             cset,
-            config=EngineConfig(engine="incremental", backend="float"),
+            config=EngineConfig(backend="float"),
         ).start_in_thread()
         try:
             stats = handle.client().stats()
-            assert stats["engine"]["tier"] == "incremental"
             assert stats["engine"]["backend"] == "float"
         finally:
             handle.stop()
@@ -192,8 +190,7 @@ class TestDurableService:
         def boot():
             session = StreamSession(
                 cset.ground, constraints=cset.constraints,
-                config=EngineConfig(engine="incremental", durable=data),
-                snapshot_every=3,
+                config=EngineConfig(durable=data, snapshot_every=3),
             )
             return ReproService(cset, session=session).start_in_thread()
 
@@ -228,7 +225,7 @@ class TestDurableService:
         session = StreamSession(
             cset.ground,
             constraints=cset.constraints,
-            config=EngineConfig(engine="incremental", durable=data),
+            config=EngineConfig(durable=data),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         handle.client().delta(["+ ABCD 2"])
@@ -298,6 +295,23 @@ class TestStartupAndProtocolEdges:
         # the service is still healthy afterwards
         assert service.client().health()["status"] == "ok"
 
+    def test_negative_content_length_is_400(self, service):
+        # unchecked, readexactly(-5) raises ValueError and the request
+        # frame answers 500
+        import socket
+
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /implies HTTP/1.1\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            response = sock.recv(4096)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"negative Content-Length" in response
+        assert service.client().health()["status"] == "ok"
+
     def test_wedged_session_still_drains_and_closes(self, cset, tmp_path):
         """A failed /delta apply wedges the session; shutdown must still
         drain cleanly (the WAL is authoritative, reopening heals)."""
@@ -307,7 +321,7 @@ class TestStartupAndProtocolEdges:
         session = StreamSession(
             cset.ground,
             constraints=cset.constraints,
-            config=EngineConfig(engine="incremental", durable=data),
+            config=EngineConfig(durable=data),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         client = handle.client()

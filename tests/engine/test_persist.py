@@ -223,16 +223,14 @@ class TestTransactionCodec:
 
 
 def durable_config(data_dir: str, backend: str = "exact") -> EngineConfig:
-    """The incremental tier on ``backend``, write-ahead logged to ``data_dir``."""
-    return EngineConfig(engine="incremental", backend=backend, durable=data_dir)
+    """A config on ``backend``, write-ahead logged to ``data_dir``."""
+    return EngineConfig(backend=backend, durable=data_dir)
 
 
-def make_session(ground, cset, tmp_path, backend="exact", **kwargs) -> StreamSession:
+def make_session(ground, cset, tmp_path, backend="exact", **changes) -> StreamSession:
+    config = durable_config(str(tmp_path / "data"), backend)
     return StreamSession(
-        ground,
-        constraints=cset.constraints,
-        config=durable_config(str(tmp_path / "data"), backend),
-        **kwargs,
+        ground, constraints=cset.constraints, config=config.replace(**changes)
     )
 
 
@@ -306,7 +304,7 @@ class TestDurableSession:
         oracle = StreamSession(
             ground,
             constraints=cset.constraints,
-            config=EngineConfig(engine="incremental", backend="exact"),
+            config=EngineConfig(backend="exact"),
         )
         for text in ops:
             oracle.insert(text)

@@ -1,8 +1,9 @@
-"""The engine planner: tier boundaries, the config surface and the factory.
+"""The engine planner: backend boundaries, the config surface and the
+live factory.
 
 Every cost-model threshold is crossed from both sides, degenerate
-ground sets (``|S| in {0, 1}``) are pinned, and the engine kwargs that
-the config object replaced are verified to be gone.
+ground sets (``|S| in {0, 1}``) are pinned, and the engine kwargs and
+tier knobs that the config object replaced are verified to be gone.
 """
 
 from __future__ import annotations
@@ -16,20 +17,22 @@ from repro.engine import (
     EvalContext,
     IncrementalEvalContext,
     StreamSession,
-    Workload,
     build_context,
+    default_context,
     default_planner,
-    plan_of_context,
 )
-from repro.engine.plan import DENSE_LIMIT, TIERS
+from repro.engine.plan import DENSE_LIMIT
 from repro.errors import NotApplicableError, PlanError
 from repro.fis import BasketDatabase
 from repro.relational import StreamingFDChecker
-from repro.relational.fd import FunctionalDependency
 
 
-def plan_for(config=None, **workload):
-    return default_planner().plan(Workload(**workload), config)
+def plan_for(n, config=None):
+    return default_planner().plan(n, config)
+
+
+def ground_of(n):
+    return GroundSet([f"x{i}" for i in range(n)])
 
 
 class TestCostModelBoundaries:
@@ -39,100 +42,121 @@ class TestCostModelBoundaries:
         assert DENSE_LIMIT == MAX_DENSE_SIZE
 
     def test_one_shot_workloads_are_batched(self):
-        plan = plan_for(n=8, constraints=4, queries=10)
-        assert plan.tier == "batched"
-
-    def test_degenerate_ground_sets_stay_scalar(self):
-        for n in (0, 1):
-            assert plan_for(n=n, queries=1).tier == "scalar"
-        assert plan_for(n=2, queries=1).tier == "batched"
+        # one-shot implication runs on a plain (stateless) EvalContext
+        # and the planner sends it to the batched table decider
+        assert type(default_context()) is EvalContext
+        assert default_planner().decide_method(8)[0] == "engine"
+        assert plan_for(8).backend == "exact"
 
     def test_past_dense_limit_is_scalar(self):
-        assert plan_for(n=DENSE_LIMIT, queries=1).tier == "batched"
-        assert plan_for(n=DENSE_LIMIT + 1, queries=1).tier == "scalar"
+        # past the dense limit one-shot implication takes the SAT path;
+        # the planner still resolves a backend for the one-shot context
+        planner = default_planner()
+        assert planner.decide_method(DENSE_LIMIT)[0] == "engine"
+        assert planner.decide_method(DENSE_LIMIT + 1)[0] == "sat"
+        assert plan_for(DENSE_LIMIT + 1).backend == "float"
 
     def test_streaming_is_incremental(self):
-        plan = plan_for(n=8, constraints=2, streaming=True)
-        assert plan.tier == "incremental"
+        session = StreamSession(ground_of(8))
+        assert type(session.context) is IncrementalEvalContext
+        session.close()
 
     def test_streaming_degenerate_ground_sets_stay_incremental(self):
         # a live session needs live tables even over |S| <= 1
         for n in (0, 1):
-            assert plan_for(n=n, streaming=True).tier == "incremental"
+            session = StreamSession(ground_of(n))
+            assert type(session.context) is IncrementalEvalContext
+            session.close()
 
     def test_backend_crossover(self):
         flt = default_planner().FLOAT_MIN_N
         # two rungs: exact below the float bar, float from it up
         for n in (0, 2, flt - 1):
-            assert plan_for(n=n, queries=1).backend == "exact"
+            assert plan_for(n).backend == "exact"
         for n in (flt, DENSE_LIMIT):
-            assert plan_for(n=n, queries=1).backend == "float"
+            assert plan_for(n).backend == "float"
 
     def test_incremental_tier_shares_the_backend_rule(self):
         flt = default_planner().FLOAT_MIN_N
-        # the live density is a sparse dict on every backend, so the
-        # streaming tier has no bar of its own
+        # the live density is a sparse dict on every backend, so live
+        # contexts have no bar of their own: the factory builds the
+        # one-shot plan's backend
         for n in range(DENSE_LIMIT + 1):
-            assert (
-                plan_for(n=n, streaming=True).backend
-                == plan_for(n=n, queries=1).backend
-            )
-        assert plan_for(n=flt - 1, streaming=True).backend == "exact"
-        assert plan_for(n=flt, streaming=True).backend == "float"
-        plan = plan_for(n=flt, streaming=True, config=EngineConfig(tol=0.0))
-        assert plan.tier == "incremental" and plan.backend == "exact"
+            plan = plan_for(n)
+            live = build_context(plan, ground_of(n))
+            assert live.backend.name == plan.backend
+        assert plan_for(flt - 1).backend == "exact"
+        assert plan_for(flt).backend == "float"
+        assert plan_for(flt, EngineConfig(tol=0.0)).backend == "exact"
 
     def test_zero_tolerance_forces_exact(self):
         flt = default_planner().FLOAT_MIN_N
         # past the float bar, tol=0 still demands exact zero tests
         for n in (0, 2, flt - 1, flt, flt + 2, DENSE_LIMIT):
-            for streaming in (False, True):
-                plan = plan_for(
-                    n=n, streaming=streaming, config=EngineConfig(tol=0.0)
-                )
-                assert plan.backend == "exact"
+            assert plan_for(n, EngineConfig(tol=0.0)).backend == "exact"
 
     def test_pinned_backend_wins(self):
-        plan = plan_for(n=4, queries=1, config=EngineConfig(backend="float"))
-        assert plan.backend == "float"
+        assert plan_for(4, EngineConfig(backend="float")).backend == "float"
+        assert plan_for(20, EngineConfig(backend="exact")).backend == "exact"
 
-    def test_single_cpu_host_never_shards(self):
-        plan = plan_for(
-            n=16, streaming=True, density_size=10**6, delta_rate=1e6
+    def test_resolved_backend_table(self):
+        """The backend rule over every dense-capable size, both
+        tolerances and every pin: exact at tol=0 or below the float
+        bar, float from it up, a pin always wins."""
+        flt = default_planner().FLOAT_MIN_N
+        for n in range(DENSE_LIMIT + 1):
+            for tol in (0.0, EngineConfig().tol):
+                for pin in (None, "exact", "float"):
+                    config = EngineConfig(backend=pin, tol=tol)
+                    if pin is not None:
+                        expected = pin
+                    elif tol == 0 or n < flt:
+                        expected = "exact"
+                    else:
+                        expected = "float"
+                    assert plan_for(n, config).backend == expected, (
+                        n, tol, pin
+                    )
+
+    def test_single_cpu_host_never_shards(self, monkeypatch):
+        from repro.engine import plan as plan_module
+
+        monkeypatch.setattr(plan_module, "effective_cpus", lambda: 1)
+        # a big live instance on one CPU is still one incremental
+        # context: the plan names a backend and durability, nothing else
+        plan = plan_for(16)
+        assert set(plan.as_dict()) == {"backend", "durable"}
+        session = StreamSession(
+            ground_of(16), density={m: 1 for m in range(1000)},
+            config=EngineConfig(),
         )
-        assert plan.tier == "incremental"
+        assert type(session.context) is IncrementalEvalContext
+        assert session.plan == plan
+        session.close()
 
     def test_plan_overhead_reasons_and_stamp(self):
-        plan = plan_for(n=8, queries=1)
+        plan = plan_for(8)
         assert plan.reasons  # --explain has something to print
-        assert "tier=batched" in plan.stamp()
-        assert plan.stamp() == f"tier=batched, backend={plan.backend}"
-        assert plan.as_dict()["tier"] == "batched"
-        assert "tier=batched" in plan.explain()
+        assert plan.stamp() == f"backend={plan.backend}"
+        assert plan.as_dict() == {"backend": "exact", "durable": False}
+        assert "backend=exact" in plan.explain()
+        assert not hasattr(plan, "tier")
 
 
 class TestForcedTiersAndValidation:
-    def test_every_tier_can_be_forced(self):
-        assert TIERS == ("scalar", "batched", "incremental")
-        for tier in TIERS:
-            plan = plan_for(
-                n=6, streaming=True, config=EngineConfig(engine=tier)
-            )
-            assert plan.tier == tier
-
     def test_forced_live_tier_past_dense_limit_is_loud(self):
+        big = ground_of(DENSE_LIMIT + 1)
         with pytest.raises(PlanError, match="dense limit"):
-            plan_for(
-                n=DENSE_LIMIT + 1,
-                streaming=True,
-                config=EngineConfig(engine="incremental"),
-            )
+            StreamSession(big)
+        with pytest.raises(PlanError, match="dense limit"):
+            build_context(plan_for(big.size), big)
+        from repro.fis.discovery import zero_set
+
+        db = BasketDatabase.of(big, "x0")
+        with pytest.raises(PlanError, match="dense limit"):
+            zero_set(db, config=EngineConfig())
 
     def test_config_validation(self):
-        with pytest.raises(PlanError):
-            EngineConfig(engine="warp")
-        with pytest.raises(PlanError, match="unknown engine tier"):
-            EngineConfig(engine="sharded")
         for bad in ("decimal", "exact-vec"):
             with pytest.raises(PlanError, match="unknown backend"):
                 EngineConfig(backend=bad)
@@ -143,49 +167,35 @@ class TestForcedTiersAndValidation:
         with pytest.raises(PlanError):
             EngineConfig(snapshot_every=0)
         with pytest.raises(PlanError):
-            EngineConfig(cache_size=0)
-        with pytest.raises(PlanError):
-            Workload(n=-1)
+            plan_for(-1)
+
+    def test_config_has_exactly_five_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "backend", "durable", "snapshot_every", "fsync", "tol",
+        ]
+
+    @pytest.mark.parametrize(
+        "kwarg", ["engine", "cache_size", "private_cache"]
+    )
+    def test_removed_config_fields_are_a_type_error(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            EngineConfig(**{kwarg: "auto"})
+
 
 class TestBuildContext:
     def test_factory_returns_the_plan_tier(self):
         ground = GroundSet("ABCD")
-        by_tier = {
-            "scalar": EvalContext,
-            "batched": EvalContext,
-            "incremental": IncrementalEvalContext,
-        }
-        for tier, cls in by_tier.items():
-            plan = plan_for(
-                n=4, streaming=tier == "incremental",
-                config=EngineConfig(engine=tier),
-            )
-            ctx = build_context(plan, ground)
-            # incremental subclasses EvalContext: assert the exact
-            # class, then the tier's distinguishing API
-            assert type(ctx) is cls
-            if tier == "scalar":
-                assert ctx.backend is None  # operands keep their storage
-            if tier == "batched":
-                assert ctx.backend is not None
-
-    def test_live_state_rejected_on_stateless_tiers(self):
-        ground = GroundSet("AB")
-        plan = plan_for(n=2, queries=1)
-        assert plan.tier == "batched"
-        with pytest.raises(PlanError, match="stateless"):
-            build_context(plan, ground, density={1: 1})
-
-    def test_plan_of_context_round_trips(self):
-        ground = GroundSet("ABC")
-        plan = plan_for(
-            n=3, streaming=True, config=EngineConfig(engine="incremental")
-        )
-        described = plan_of_context(build_context(plan, ground))
-        assert described.tier == "incremental"
-        assert described.backend == plan.backend
-        assert plan_of_context(EvalContext(backend="exact")).tier == "batched"
-        assert plan_of_context(EvalContext()).tier == "scalar"
+        for backend in ("exact", "float"):
+            plan = plan_for(4, EngineConfig(backend=backend, tol=1e-6))
+            ctx = build_context(plan, ground, density={0b0011: 2})
+            # the one live factory: always the incremental context, on
+            # the plan's backend and tolerance
+            assert type(ctx) is IncrementalEvalContext
+            assert ctx.backend.name == backend
+            assert ctx.tol == 1e-6
+            assert ctx.value(0b0011) == 2
 
 
 class TestDecideMethod:
@@ -214,7 +224,11 @@ class TestDeprecationShims:
     ``config=EngineConfig(...)`` is the only way in."""
 
     @pytest.mark.parametrize(
-        "kwarg", ["backend", "shards", "workers", "durable"]
+        "kwarg",
+        [
+            "backend", "shards", "workers", "durable",
+            "tol", "fsync", "snapshot_every", "private_cache",
+        ],
     )
     def test_stream_session_rejects_the_old_kwargs(self, kwarg):
         with pytest.raises(TypeError, match=kwarg):
@@ -226,6 +240,9 @@ class TestDeprecationShims:
             BasketDatabase.of(ground, "A").stream_session(backend="exact")
         with pytest.raises(TypeError):
             StreamingFDChecker(ground, [], shards=2)
+        for kwarg in ("snapshot_every", "fsync"):
+            with pytest.raises(TypeError, match=kwarg):
+                StreamingFDChecker(ground, [], **{kwarg: "always"})
         assert not hasattr(BasketDatabase, "sharded_context")
         assert not hasattr(EngineConfig, "from_legacy")
 
@@ -238,8 +255,8 @@ class TestDeprecationShims:
             session = StreamSession(ground)
             BasketDatabase.of(ground, "A").stream_session()
             StreamingFDChecker(ground, [])
-        # the default session: incremental tier, exact backend
-        assert session.plan.stamp() == "tier=incremental, backend=exact"
+        # the default session: the live context on the exact backend
+        assert session.plan.stamp() == "backend=exact"
 
 
 class TestDurableReopen:
@@ -248,9 +265,7 @@ class TestDurableReopen:
         data = str(tmp_path / "data")
         first = StreamSession(
             ground,
-            config=EngineConfig(
-                engine="incremental", backend="float", durable=data
-            ),
+            config=EngineConfig(backend="float", durable=data),
         )
         first.insert("AB")
         first.close()
@@ -274,9 +289,7 @@ class TestDurableReopen:
         first = StreamSession(
             ground,
             constraints=theory,
-            config=EngineConfig(
-                engine="incremental", backend="exact", durable=data
-            ),
+            config=EngineConfig(backend="exact", durable=data),
         )
         for row in ("AB", "A", "CD", "C", "ABCD"):
             first.insert(row)
@@ -292,7 +305,7 @@ class TestDurableReopen:
 
         config = EngineConfig(durable=data)
         if backend is not None:
-            config = config.replace(engine="incremental", backend=backend)
+            config = config.replace(backend=backend)
         reopened = StreamSession(ground, constraints=theory, config=config)
         assert reopened.plan.backend == "exact"
         assert reopened.config.backend == "exact"

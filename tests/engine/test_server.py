@@ -244,6 +244,11 @@ class TestConstraintServer:
         with pytest.raises(ValueError):
             ConstraintServer(cset, max_batch=0)
 
+    def test_bad_cache_size(self, cset):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="cache_size"):
+                ConstraintServer(cset, cache_size=bad)
+
     def test_non_dense_ground_falls_back_to_sat(self, monkeypatch):
         """Past the dense limit the server must never build 2^|S| tables
         -- implication answers route through the SAT decider instead."""

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.engine import (
     EngineConfig,
+    ImplicationCache,
     IncrementalEvalContext,
     StreamSession,
     parse_transaction_log,
@@ -264,7 +265,7 @@ class TestStreamSession:
         (i.e. a fresh satisfied-set fingerprint appears) on status
         flips, not on benign deltas."""
         cset = ConstraintSet.of(ground_abc, "A -> B", "B -> C")
-        session = cset.stream_session(private_cache=True)
+        session = cset.stream_session(cache=ImplicationCache())
         session.insert("AB")  # violates B -> C, leaves A -> B satisfied
         ctx = session.context
         target = DifferentialConstraint.parse(ground_abc, "A -> B, C")
@@ -374,7 +375,7 @@ class TestDegenerateAudit:
         # the only nontrivial constraint: (/) -> {} with empty family
         c = DifferentialConstraint(ground, 0, SetFamily(ground))
         session = StreamSession(
-            ground, [c], config=EngineConfig(engine="incremental", backend=backend)
+            ground, [c], config=EngineConfig(backend=backend)
         )
         report = session.apply([(0, 1)])
         assert report.newly_violated == (c,)

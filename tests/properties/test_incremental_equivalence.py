@@ -148,7 +148,7 @@ def test_stream_reports_are_consistent(backend_name, data):
     session = StreamSession(
         ground,
         constraints,
-        config=EngineConfig(engine="incremental", backend=backend_name),
+        config=EngineConfig(backend=backend_name),
     )
     violated = set()
     for mask, delta in deltas:

@@ -38,8 +38,8 @@ def make_theory(ground: GroundSet) -> ConstraintSet:
 
 
 def config(backend: str, durable=None) -> EngineConfig:
-    """The incremental tier pinned to ``backend``, optionally durable."""
-    return EngineConfig(engine="incremental", backend=backend, durable=durable)
+    """A config pinned to ``backend``, optionally durable."""
+    return EngineConfig(backend=backend, durable=durable)
 
 
 @st.composite
@@ -104,9 +104,9 @@ class TestCrashRecoveryEquivalence:
             live = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                config=config(backend, durable=data_dir),
-                snapshot_every=snapshot_every,
-                fsync="never",
+                config=config(backend, durable=data_dir).replace(
+                    snapshot_every=snapshot_every, fsync="never"
+                ),
             )
             for deltas in transactions:
                 live.apply(deltas)
@@ -166,8 +166,9 @@ class TestCrashRecoveryEquivalence:
             first = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                config=config(backend, durable=data_dir),
-                fsync="never",
+                config=config(backend, durable=data_dir).replace(
+                    fsync="never"
+                ),
             )
             for deltas in transactions[:cut]:
                 first.apply(deltas)

@@ -156,9 +156,9 @@ class TestDurableChecker:
         from repro.relational import StreamingFDChecker
 
         config = EngineConfig(
-            engine="incremental", backend="exact", durable=str(tmp_path / "fd")
+            backend="exact", durable=str(tmp_path / "fd"), **kwargs
         )
-        return StreamingFDChecker(ground, fds, config=config, **kwargs)
+        return StreamingFDChecker(ground, fds, config=config)
 
     def test_reopen_recovers_rows_and_density(self, ground_abc, fds, tmp_path):
         ck = self._checker(ground_abc, fds, tmp_path, snapshot_every=3)

@@ -69,7 +69,7 @@ class TestImplies:
         assert "counterexample" in text
 
     def test_methods(self, constraint_file):
-        for method in ("engine", "lattice", "sat", "fd", "bitset"):
+        for method in ("engine", "lattice", "sat", "fd"):
             code, _ = _run(
                 ["implies", constraint_file, "A -> C", "--method", method]
             )
@@ -92,25 +92,56 @@ class TestPlan:
     def test_one_shot_plan(self, constraint_file):
         code, text = _run(["plan", constraint_file])
         assert code == 0
-        assert "plan: tier=batched, backend=exact\n" in text
-
-    def test_streaming_plan_with_baskets(self, constraint_file, basket_file):
-        code, text = _run(["plan", constraint_file, "--baskets", basket_file])
-        assert code == 0
-        assert "tier=incremental" in text
+        assert "plan: backend=exact\n" in text
 
     def test_explain_prints_the_cost_model(self, constraint_file):
         code, text = _run(["plan", constraint_file, "--explain"])
         assert code == 0
-        assert "tier=batched" in text
-        assert "one-shot workload" in text
+        assert "backend=exact" in text
+        assert "lossless" in text
         # the implication brain is the same planner
         assert "implies method=" in text
 
-    def test_pinned_engine_flag(self, constraint_file):
-        code, text = _run(["plan", constraint_file, "--engine", "incremental"])
-        assert code == 0
-        assert "plan: tier=incremental, backend=exact\n" in text
+    @pytest.mark.parametrize(
+        "command", ["implies", "plan", "stream", "serve", "fleet"]
+    )
+    def test_engine_flag_exits_2(
+        self, command, constraint_file, log_file, query_file, capsys,
+        monkeypatch,
+    ):
+        """The question fixes the context, so no subcommand takes a
+        tier request any more (fleet no longer forwards one either)."""
+        from repro.engine import fleet
+
+        def must_not_boot(*args, **kwargs):
+            raise AssertionError("the fleet booted")
+
+        monkeypatch.setattr(fleet, "FleetService", must_not_boot)
+        extra = {
+            "implies": ["A -> C"],
+            "plan": [],
+            "stream": [log_file],
+            "serve": [query_file],
+            "fleet": [],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            _run([command, constraint_file, *extra, "--engine", "auto"])
+        assert err.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    def test_plan_baskets_exits_2(self, constraint_file, basket_file, capsys):
+        # live and one-shot work share one backend rule: nothing to plan
+        with pytest.raises(SystemExit) as err:
+            _run(["plan", constraint_file, "--baskets", basket_file])
+        assert err.value.code == 2
+        assert "--baskets" in capsys.readouterr().err
+
+    def test_bitset_method_exits_2(self, constraint_file, capsys):
+        # folded into --method engine (the same cached L(C) table)
+        with pytest.raises(SystemExit) as err:
+            _run(["implies", constraint_file, "A -> C", "--method", "bitset"])
+        assert err.value.code == 2
+        assert "bitset" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["implies", "plan", "stream", "serve"]
@@ -241,11 +272,11 @@ def log_file(tmp_path):
 class TestStream:
     def test_output_stamped_with_engine_config(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
-        assert "# engine: tier=incremental, backend=exact\n" in text
+        assert "# engine: backend=exact\n" in text
 
     def test_replay_reports_flips(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
-        assert "# engine: tier=incremental, backend=exact\n" in text
+        assert "# engine: backend=exact\n" in text
         assert "tx 1: +1 violated" in text
         assert "violated: A -> {B}" in text
         assert "tx 2:" in text and "restored: A -> {B}" in text
@@ -267,7 +298,7 @@ class TestStream:
         code, text = _run(
             ["stream", constraint_file, str(log), "--baskets", basket_file]
         )
-        assert "# engine: tier=incremental, backend=exact\n" in text
+        assert "# engine: backend=exact\n" in text
         # the AB baskets violate B -> C at seed time (A -> B holds)
         assert "seeded 5 rows; 1/2 constraints violated" in text
         # removing every basket except ABC restores it
@@ -322,8 +353,7 @@ class TestServe:
         code, text = _run(
             ["serve", constraint_file, query_file, "--baskets", basket_file]
         )
-        # the live instance is always the incremental tier
-        assert "# engine: tier=incremental, backend=exact\n" in text
+        assert "# engine: backend=exact\n" in text
         assert text.count("IMPLIED: A -> {C}") == 2
         assert "NOT IMPLIED: C -> {A}" in text
         # the AB baskets violate B -> C; A -> B holds on the instance
