@@ -54,7 +54,7 @@ def main() -> None:
         print(f"service listening on {running.host}:{running.port} "
               f"(durable={client.health()['durable']})")
         assert client.implies("A -> C") is True
-        print("implies A -> C: IMPLIED  (microbatched + memoized)")
+        print("implies A -> C: IMPLIED  (memoized)")
         for ops in TRANSACTIONS:
             report = client.delta(ops)
             flips = report["newly_violated"] or report["restored"]

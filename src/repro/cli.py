@@ -38,10 +38,10 @@ reason about constraint files without writing Python:
 
 ``serve``
     Answer a batch of ``implies``/``check`` queries through the
-    microbatching constraint server: concurrent duplicates coalesce
-    into one computation and answers are memoized in a fingerprint
-    -keyed LRU.  ``--baskets`` loads a live (incremental) instance for
-    ``check`` queries.  With ``--port`` the command becomes a *long
+    constraint server: each answer is memoized in a fingerprint-keyed
+    LRU, so a repeated query is a cache hit, not a recomputation.
+    ``--baskets`` loads a live (incremental) instance for ``check``
+    queries.  With ``--port`` the command becomes a *long
     -running network service* speaking HTTP/JSON (check / implies /
     delta / probe endpoints; see :mod:`repro.engine.net`): it prints
     ``# listening on HOST:PORT`` and serves until SIGTERM, draining
@@ -374,12 +374,7 @@ def _cmd_serve(args, out: TextIO) -> int:
             "loaded (pass --baskets)"
         )
     print(_engine_stamp_line(plan), file=out)
-    answers, stats = serve_queries(
-        cset,
-        queries,
-        instance=instance,
-        max_batch=args.batch_size,
-    )
+    answers, stats = serve_queries(cset, queries, instance=instance)
     failures = 0
     for (kind, constraint), answer in zip(queries, answers):
         if kind == "implies":
@@ -390,9 +385,8 @@ def _cmd_serve(args, out: TextIO) -> int:
             failures += 1
         print(f"{verdict}: {constraint!r}", file=out)
     print(
-        f"# served {stats.requests} queries in {stats.batches} batches: "
-        f"{stats.coalesced} coalesced, {stats.cache_hits} cache hits, "
-        f"{stats.computed} computed",
+        f"# served {stats.requests} queries: {stats.cache_hits} cache "
+        f"hits, {stats.computed} computed",
         file=out,
     )
     return 1 if failures else 0
@@ -447,7 +441,6 @@ def _serve_network(args, ground, cset, out: TextIO) -> int:
         host=args.host,
         port=args.port,
         queue_size=args.queue_size,
-        max_batch=args.batch_size,
         on_ready=_ready,
     )
     service.serve_forever()
@@ -626,8 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="answer implication/check queries via the microbatching "
-        "server, or run the HTTP/JSON service with --port",
+        help="answer implication/check queries via the memoizing "
+        "constraint server, or run the HTTP/JSON service with --port",
     )
     p.add_argument("file", help="constraint file ('-' for stdin)")
     p.add_argument(
@@ -641,12 +634,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--baskets",
         default=None,
         help="basket file loaded as the live instance for 'check' queries",
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="microbatch bound: requests coalesced per dispatch (default 64)",
     )
     p.add_argument(
         "--port",

@@ -163,10 +163,10 @@ class ConstraintSet:
     def server(self, instance=None, **kwargs):
         """A :class:`repro.engine.ConstraintServer` fronting this set.
 
-        The async microbatching queue coalesces concurrent implication
-        queries against ``C`` (and ``check`` queries against an optional
-        live ``instance``) and memoizes answers in a fingerprint-keyed
-        LRU; see ``repro serve`` for the CLI surface.
+        It answers implication queries against ``C`` (and ``check``
+        queries against an optional live ``instance``) synchronously and
+        memoizes them in a fingerprint-keyed LRU; see ``repro serve``
+        for the CLI surface.
         """
         from repro.engine.server import ConstraintServer
 

@@ -31,10 +31,9 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.stream` -- :class:`StreamSession`, the
   transactional surface (batch of deltas -> newly violated / restored
   constraints) and the transaction-log format behind ``repro stream``;
-* :mod:`repro.engine.server` -- :class:`ConstraintServer`, the async
-  microbatching request queue behind ``repro serve``: coalesces
-  concurrent implication/check queries and memoizes answers in a
-  fingerprint-keyed LRU;
+* :mod:`repro.engine.server` -- :class:`ConstraintServer`, the
+  front end behind ``repro serve``: answers implication/check queries
+  inline and memoizes them in a fingerprint-keyed LRU;
 * :mod:`repro.engine.persist` -- :class:`DurableStore`, durability for
   live instances: a CRC-framed write-ahead log in the ``repro stream``
   transaction format plus versioned snapshots with log compaction and
@@ -42,7 +41,7 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.net` -- :class:`ReproService` /
   :class:`ReproClient`, the asyncio HTTP/JSON wire protocol in front of
   the constraint server and a durable stream session (``repro serve
-  --port``): microbatching preserved, bounded-queue backpressure,
+  --port``): memoized answers, bounded-queue backpressure,
   graceful drain on SIGTERM;
 * :mod:`repro.engine.quota` -- :class:`TenantQuotas`, per-tenant
   token-bucket admission control (quota ``429`` distinct from

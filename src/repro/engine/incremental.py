@@ -195,11 +195,10 @@ class IncrementalEvalContext(EvalContext):
         backend: Union[str, Backend] = "exact",
         tol: float = DEFAULT_TOLERANCE,
         cache: Optional[ImplicationCache] = None,
-        private_cache: bool = False,
     ):
         if isinstance(backend, str):
             backend = backend_by_name(backend)
-        super().__init__(backend=backend, cache=cache, private_cache=private_cache)
+        super().__init__(backend=backend, cache=cache)
         if not getattr(ground, "is_dense_capable", lambda: True)():
             raise ValueError(
                 f"|S| = {ground.size} exceeds the dense-table limit; "

@@ -1,18 +1,18 @@
 """The wire protocol: an asyncio HTTP/JSON front end for ``repro serve``.
 
 :class:`ReproService` puts a small, dependency-free HTTP/1.1 server in
-front of the engine stack: implication and instance checks flow through
-the :class:`~repro.engine.server.ConstraintServer` microbatching queue
-(concurrent duplicates still coalesce, answers are still memoized),
-density deltas flow through a :class:`~repro.engine.stream.StreamSession`
-(write-ahead logged first when the session is durable), and support
-probes read the live tables.  Endpoints:
+front of the engine stack: implication and instance checks are
+answered inline by the :class:`~repro.engine.server.ConstraintServer`
+(repeated questions are LRU cache hits), density deltas flow through a
+:class:`~repro.engine.stream.StreamSession` (write-ahead logged first
+when the session is durable), and support probes read the live tables.
+Endpoints:
 
 ==============  ======  ====================================================
 path            method  body -> response
 ==============  ======  ====================================================
 ``/healthz``    GET     -> ``{"status", "transactions", "violated", ...}``
-``/stats``      GET     -> microbatching counters + session state + the
+``/stats``      GET     -> answer-cache counters + session state + the
                         resolved engine plan (backend, durability)
 ``/implies``    POST    ``{"constraint": "A -> B, CD"}`` -> ``{"implied"}``
 ``/check``      POST    ``{"constraint": ...}`` -> ``{"satisfied"}``
@@ -37,8 +37,8 @@ Operational behavior:
   should run with ``fsync="never"`` (the OS flushes; recovery treats a
   lost suffix as a torn tail) rather than move commits off the loop.
 * **Graceful drain**: ``SIGTERM``/``SIGINT`` (or ``POST /shutdown``)
-  stops accepting connections, drains in-flight requests, stops the
-  microbatcher, snapshots a durable session, and closes the store.
+  stops accepting connections, drains in-flight requests, snapshots
+  a durable session, and closes the store.
 
 The fleet router (:mod:`repro.engine.fleet`) shares the plumbing: the
 request frame :func:`serve_http_connection` and the lifecycle
@@ -433,7 +433,7 @@ class HttpService:
 
 
 class ReproService(HttpService):
-    """One serving instance: session + microbatcher behind HTTP/JSON.
+    """One serving instance: session + constraint server behind HTTP/JSON.
 
     Parameters
     ----------
@@ -451,10 +451,6 @@ class ReproService(HttpService):
     queue_size:
         Concurrent-request admission bound (backpressure): past it,
         requests are refused with 503 instead of queueing unboundedly.
-    max_batch:
-        Passed to the underlying :class:`ConstraintServer`, which
-        batches drain-ready: each ``/implies`` or ``/check`` joins
-        whatever requests are already queued, never a timed window.
     config:
         The :class:`repro.engine.EngineConfig` an empty in-memory
         session is built from when no ``session`` is given (ignored
@@ -471,7 +467,6 @@ class ReproService(HttpService):
         host: str = "127.0.0.1",
         port: int = 0,
         queue_size: int = 128,
-        max_batch: int = 64,
         on_ready: Optional[Callable[[str, int], None]] = None,
         config=None,
     ):
@@ -495,11 +490,7 @@ class ReproService(HttpService):
             )
         self._parse_constraint = parse_constraint
         self._queue_size = queue_size
-        self._batcher = ConstraintServer(
-            constraints,
-            instance=session.context,
-            max_batch=max_batch,
-        )
+        self._server = ConstraintServer(constraints, instance=session.context)
         self._inflight = 0
         self._refused = 0
         self._write_lock: Optional[asyncio.Lock] = None
@@ -548,7 +539,7 @@ class ReproService(HttpService):
         if path == "/healthz" and method == "GET":
             return 200, self._health_payload()
         if path == "/stats" and method == "GET":
-            stats = dict(self._batcher.stats.as_dict())
+            stats = dict(self._server.stats.as_dict())
             stats["refused"] = self._refused
             stats["inflight"] = self._inflight
             # the resolved engine plan the service is running
@@ -557,10 +548,10 @@ class ReproService(HttpService):
         if method != "POST":
             return 405, {"error": f"{method} not allowed on {path}"}
         if path == "/implies":
-            answer = await self._batcher.implies(self._constraint_of(body))
+            answer = self._server.implies(self._constraint_of(body))
             return 200, {"implied": answer}
         if path == "/check":
-            answer = await self._batcher.check(self._constraint_of(body))
+            answer = self._server.check(self._constraint_of(body))
             return 200, {"satisfied": answer}
         if path == "/delta":
             return await self._handle_delta(body)
@@ -636,14 +627,12 @@ class ReproService(HttpService):
     # ------------------------------------------------------------------
     async def _start(self) -> None:
         self._write_lock = asyncio.Lock()
-        await self._batcher.start()
 
     async def _stop(self) -> None:
         # runs after every admitted request has been answered; the order
-        # is deliberate: stop the microbatcher, snapshot a durable
-        # session, close the store -- so a graceful exit always leaves
-        # a compacted data directory that recovers instantly
-        await self._batcher.stop()
+        # is deliberate: snapshot a durable session, then close the
+        # store -- so a graceful exit always leaves a compacted data
+        # directory that recovers instantly
         try:
             if self._session.durable:
                 async with self._write_lock:
@@ -818,11 +807,13 @@ class ReproClient:
         return self._request("GET", "/healthz")
 
     def stats(self) -> dict:
-        """``GET /stats``: queue depth and request counters."""
+        """``GET /stats``: request counters (``requests``,
+        ``cache_hits``, ``computed``), admission and engine plan."""
         return self._request("GET", "/stats")
 
     def implies(self, constraint: str) -> bool:
-        """``C |= constraint`` through the microbatching server."""
+        """``C |= constraint`` (answered from the service's LRU when
+        the same question was asked before)."""
         return self._request(
             "POST", "/implies", {"constraint": constraint}, idempotent=True
         )["implied"]

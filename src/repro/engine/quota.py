@@ -58,10 +58,16 @@ class TokenBucket:
         burst: float,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0 tokens/sec, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1 token, got {burst}")
+        # NaN passes every bare comparison: without the finiteness
+        # test it would make a bucket that admits everything
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(
+                f"rate must be a finite number > 0 tokens/sec, got {rate}"
+            )
+        if not (math.isfinite(burst) and burst >= 1):
+            raise ValueError(
+                f"burst must be a finite number >= 1 token, got {burst}"
+            )
         self.rate = float(rate)
         self.burst = float(burst)
         self._clock = clock if clock is not None else time.monotonic

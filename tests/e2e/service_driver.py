@@ -130,7 +130,11 @@ def main() -> int:
             "bare-A row newly violates A -> B",
         )
         stats = client.stats()
-        expect(stats["requests"] > 0, "microbatcher served the checks")
+        expect(stats["requests"] > 0, "constraint server served the checks")
+        expect(
+            stats["requests"] == stats["cache_hits"] + stats["computed"],
+            "every request was a cache hit or a computation",
+        )
 
         # --- phase 2: SIGKILL mid-stream ------------------------------
         pre = observe(client)

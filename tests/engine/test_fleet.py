@@ -107,6 +107,11 @@ class TestTokenBucket:
             TokenBucket(rate=0, burst=1)
         with pytest.raises(ValueError):
             TokenBucket(rate=1, burst=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TokenBucket(rate=bad, burst=1)
+            with pytest.raises(ValueError, match="finite"):
+                TokenBucket(rate=1, burst=bad)
 
 
 class TestTenantQuotas:

@@ -245,6 +245,10 @@ class TestDeprecationShims:
                 StreamingFDChecker(ground, [], **{kwarg: "always"})
         assert not hasattr(BasketDatabase, "sharded_context")
         assert not hasattr(EngineConfig, "from_legacy")
+        # the live context shares the process-wide decider cache; only
+        # the one-shot EvalContext keeps the private-cache switch
+        with pytest.raises(TypeError, match="private_cache"):
+            IncrementalEvalContext(ground, private_cache=True)
 
     def test_default_construction_does_not_warn(self):
         import warnings

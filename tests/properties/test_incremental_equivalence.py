@@ -15,8 +15,6 @@ that cancel).
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,9 +213,8 @@ def test_engine_matches_scalar_definition(backend_name, data):
 @settings(max_examples=40)
 @given(data=instances())
 def test_server_answers_match_direct_decide(data):
-    """Microbatched, coalesced, memoized answers == decide() -- for
-    implication queries against C and checks against a live
-    incremental instance."""
+    """Memoized server answers == decide() -- for implication queries
+    against C and checks against a live incremental instance."""
     ground, constraints, deltas = data
     cset = ConstraintSet(ground, constraints)
     live = IncrementalEvalContext(ground, constraints=constraints)
@@ -229,17 +226,9 @@ def test_server_answers_match_direct_decide(data):
         )
     ]
 
-    async def scenario():
-        async with ConstraintServer(cset, instance=live) as server:
-            implied = await asyncio.gather(
-                *[server.implies(t) for t in targets]
-            )
-            checked = await asyncio.gather(
-                *[server.check(t) for t in targets]
-            )
-            return implied, checked
-
-    implied, checked = asyncio.run(scenario())
+    server = ConstraintServer(cset, instance=live)
+    implied = [server.implies(t) for t in targets]
+    checked = [server.check(t) for t in targets]
     f = SetFunction.from_density(ground, dict(live.density_items()), exact=True)
     for t, answer in zip(targets, implied):
         assert answer == decide(cset, t)

@@ -329,7 +329,7 @@ class TestStream:
 def query_file(tmp_path):
     path = tmp_path / "queries.txt"
     path.write_text(
-        "# implied twice (coalesces), then an instance check\n"
+        "# implied twice (a cache hit), then an instance check\n"
         "A -> C\n"
         "implies A -> C\n"
         "check A -> B\n"
@@ -359,8 +359,7 @@ class TestServe:
         # the AB baskets violate B -> C; A -> B holds on the instance
         assert "SATISFIED: A -> {B}" in text
         assert "VIOLATED: B -> {C}" in text
-        assert "# served 5 queries" in text
-        assert "coalesced" in text and "cache hits" in text
+        assert "# served 5 queries: 1 cache hits, 4 computed\n" in text
         assert code == 1  # some answers were negative
 
     def test_all_positive_exits_zero(self, constraint_file, tmp_path):
@@ -371,14 +370,12 @@ class TestServe:
         assert "NOT IMPLIED" not in text
 
     def test_coalescing_visible_in_stats(self, constraint_file, tmp_path):
+        # 8 identical queries coalesce into one computation via the LRU
         queries = tmp_path / "q.txt"
         queries.write_text("A -> C\n" * 8)
         code, text = _run(["serve", constraint_file, str(queries)])
         assert code == 0
-        assert "# served 8 queries" in text
-        stats_line = [l for l in text.splitlines() if "coalesced" in l][0]
-        coalesced = int(stats_line.split("batches:")[1].split("coalesced")[0])
-        assert coalesced >= 1
+        assert "# served 8 queries: 7 cache hits, 1 computed\n" in text
 
     def test_bad_query_line_is_an_error(self, constraint_file, tmp_path):
         queries = tmp_path / "q.txt"
@@ -390,19 +387,21 @@ class TestServe:
     def test_removed_max_delay_exits_2(
         self, constraint_file, query_file, capsys
     ):
-        """Batching is drain-ready: the microbatch window and its knob
-        are gone from every layer, not ignored."""
+        """Queries are answered inline: the microbatch window, the batch
+        bound and their knobs are gone from every layer, not ignored."""
         from repro.engine import ConstraintServer, ReproService
 
-        with pytest.raises(SystemExit) as err:
-            _run(["serve", constraint_file, query_file, "--max-delay", "2"])
-        assert err.value.code == 2
-        assert "--max-delay" in capsys.readouterr().err
+        for flag in ("--max-delay", "--batch-size"):
+            with pytest.raises(SystemExit) as err:
+                _run(["serve", constraint_file, query_file, flag, "2"])
+            assert err.value.code == 2
+            assert flag in capsys.readouterr().err
         _, cset = parse_constraint_file(["ABC", "A -> B"])
-        with pytest.raises(TypeError, match="max_delay"):
-            ConstraintServer(cset, max_delay=0.002)
-        with pytest.raises(TypeError, match="max_delay"):
-            ReproService(cset, max_delay=0.002)
+        for kwarg, value in (("max_delay", 0.002), ("max_batch", 2)):
+            with pytest.raises(TypeError, match=kwarg):
+                ConstraintServer(cset, **{kwarg: value})
+            with pytest.raises(TypeError, match=kwarg):
+                ReproService(cset, **{kwarg: value})
 
 
 class TestStreamDurable:

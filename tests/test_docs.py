@@ -72,10 +72,12 @@ class TestTutorial:
         assert session.violated_constraints() == ()
         assert namespace["checker"].violated_fds() == ()
 
-    def test_server_section_exercises_the_microbatcher(self):
+    def test_server_section_exercises_the_answer_cache(self):
         namespace = _run_blocks(os.path.join(ROOT, "docs", "TUTORIAL.md"))
         assert namespace["server_answers"] == [True, True, False]
-        assert namespace["server_stats"].requests == 3
+        stats = namespace["server_stats"]
+        assert stats.requests == 3
+        assert (stats.cache_hits, stats.computed) == (1, 2)
 
     def test_service_section_exercises_durability_and_the_wire(self):
         namespace = _run_blocks(os.path.join(ROOT, "docs", "TUTORIAL.md"))
