@@ -1,4 +1,5 @@
-"""E19 -- the planner's choices vs hand-pinned ones, and plan overhead.
+"""E19 -- the unpinned defaults vs hand-pinned choices, and planner
+overhead.
 
 Three workload shapes mirror the engine benchmarks: E5's implication
 queries (one constraint set, many ``decide`` calls), E16's streaming
@@ -6,20 +7,22 @@ transactions (delta-maintained constraint monitoring), and a loaded
 evaluation loop (the ``loaded`` shape: delta bursts followed by
 verdict + support probes over a seeded instance).  For each shape,
 every choice a user could pin is timed -- the ``implies`` method for
-E5, the numeric backend for the live shapes -- then ``auto`` (the
-planner's resolution) is timed the same way.
+E5, the numeric backend for the live shapes -- then ``auto`` is timed
+the same way: ``method="auto"`` (the planner's ``decide_method``) for
+E5, an unpinned ``EngineConfig()`` (the ``exact`` backend) for the
+live shapes.
 
 Acceptance (asserted):
 
-* the planner itself is free: **< 1 ms per plan()** decision;
+* the planner itself is free: **< 1 ms per decide_method()** call;
 * ``auto`` achieves **>= 0.9x the throughput of the best hand-tuned
   configuration** on every shape (one remeasure absorbs scheduler
   noise -- auto resolves to one of the candidate configurations, so
   the true ratio is ~1.0).
 
 Row keys are host-independent (fixed candidate labels; the auto rows
-record what the planner resolved for the fixed ground-set sizes, which
-do not depend on the measuring host).
+record what ``auto`` resolved to for the fixed ground-set sizes, which
+does not depend on the measuring host).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ QUERIES = 60
 STREAM_TXS = 250
 SCALE_ROUNDS = 40
 SCALE_SEED_ROWS = 2_000
-PLAN_CALLS = 2_000
+DECIDE_CALLS = 2_000
 FLOOR = 0.9
 
 
@@ -111,6 +114,14 @@ def _stream_ops(n, txs, seed):
     ]
 
 
+def _auto_backend(ground):
+    """The backend an unpinned session over ``ground`` runs on."""
+    session = StreamSession(ground, config=EngineConfig())
+    name = session.context.backend.name
+    session.close()
+    return name
+
+
 def _time_stream(ground, constraints, transactions, config):
     def run():
         session = StreamSession(ground, constraints, config=config)
@@ -147,13 +158,16 @@ class TestPlannerAuto:
         # --- planner decision overhead --------------------------------
         sizes = (N_QUERY, N_STREAM, N_SCALE)
         t0 = time.perf_counter()
-        for _ in range(PLAN_CALLS):
+        for _ in range(DECIDE_CALLS):
             for n in sizes:
-                planner.plan(n)
-        per_plan = (time.perf_counter() - t0) / (PLAN_CALLS * len(sizes))
-        assert per_plan < 1e-3, f"plan() took {per_plan * 1e6:.1f} us"
+                planner.decide_method(n)
+        per_call = (time.perf_counter() - t0) / (DECIDE_CALLS * len(sizes))
+        assert per_call < 1e-3, (
+            f"decide_method() took {per_call * 1e6:.1f} us"
+        )
         rows.append(
-            ("plan-overhead", "auto", "us/plan", f"{per_plan * 1e6:.2f}")
+            ("plan-overhead", "decide_method", "us/call",
+             f"{per_call * 1e6:.2f}")
         )
 
         # --- E5 shape: implication queries ----------------------------
@@ -201,7 +215,7 @@ class TestPlannerAuto:
             _time_stream(
                 s_ground, s_constraints, transactions, EngineConfig()
             ),
-            f"auto->{planner.plan(N_STREAM).backend}",
+            f"auto->{_auto_backend(s_ground)}",
             lambda: _time_stream(
                 s_ground, s_constraints, transactions, EngineConfig()
             ),
@@ -235,7 +249,7 @@ class TestPlannerAuto:
             _time_scale(
                 c_ground, c_constraints, seed, bursts, probes, EngineConfig()
             ),
-            f"auto->{planner.plan(N_SCALE).backend}",
+            f"auto->{_auto_backend(c_ground)}",
             lambda: _time_scale(
                 c_ground, c_constraints, seed, bursts, probes, EngineConfig()
             ),
@@ -274,7 +288,7 @@ class TestPlannerAuto:
             "planner auto vs hand-pinned method/backend (cost model)",
             lines,
         )
-        benchmark(lambda: planner.plan(N_QUERY))
+        benchmark(lambda: planner.decide_method(N_QUERY))
 
     @staticmethod
     def _emit(

@@ -8,12 +8,11 @@ reason about constraint files without writing Python:
     Theorem 3.5 counterexample on failure.
 
 ``plan``
-    Show the numeric backend the engine planner resolves for the
-    constraint file's ground set and, with ``--explain``, the
-    cost-model reasoning line by line, including the method
-    ``implies`` would take.  The question fixes the evaluation
-    context: ``implies`` runs on a one-shot ``EvalContext``, while
-    ``stream`` and ``serve`` hold a live ``IncrementalEvalContext``.
+    Show the method ``implies`` takes for the constraint file (the
+    engine planner's ``decide_method``) and the reason for it.  The
+    question fixes the evaluation context: ``implies`` runs on a
+    one-shot ``EvalContext``, while ``stream`` and ``serve`` hold a
+    live ``IncrementalEvalContext`` on the ``exact`` backend.
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -52,8 +51,8 @@ reason about constraint files without writing Python:
     instance exactly.
 
 Both ``stream`` and ``serve`` accept ``--data-dir`` (durability) and
-``--fsync always|never`` (WAL sync policy), and print the resolved
-plan as a ``# engine: backend=...`` stamp line.
+``--fsync always|never`` (WAL sync policy), and print the backend the
+live instance runs on as a ``# engine: backend=...`` stamp line.
 
 Constraint files are plain text: first line the ground set (e.g.
 ``ABCD``), then one constraint per line in ``A -> B, CD`` syntax; ``#``
@@ -75,13 +74,8 @@ from repro.core import (
     derive,
     find_uncovered,
 )
-from repro.engine.context import EvalContext
-from repro.engine.plan import (
-    EngineConfig,
-    Plan,
-    build_context,
-    default_planner,
-)
+from repro.engine.incremental import IncrementalEvalContext
+from repro.engine.plan import EngineConfig, default_planner
 from repro.errors import NotImpliedError, ReproError
 
 __all__ = [
@@ -135,7 +129,8 @@ def engine_config_from_args(args) -> EngineConfig:
     """One :class:`EngineConfig` from the parsed arguments -- the single
     place CLI flags become engine configuration.
 
-    The planner resolves the backend; the durability flags
+    The backend is left unpinned (``exact``, or what a reopened data
+    directory recorded); the durability flags
     (``--data-dir``/``--snapshot-every``/``--fsync``) ride along when
     the subcommand has them.
     """
@@ -146,9 +141,12 @@ def engine_config_from_args(args) -> EngineConfig:
     )
 
 
-def _engine_stamp_line(plan: Plan) -> str:
-    """The one-line configuration stamp printed by stream/serve output."""
-    return f"# engine: {plan.stamp()}"
+def _engine_stamp_line(context=None) -> str:
+    """The one-line configuration stamp printed by stream/serve output:
+    the backend the live ``context`` runs on (``exact``, the default,
+    when an implication-only ``serve`` loads no instance)."""
+    backend = "exact" if context is None else context.backend.name
+    return f"# engine: backend={backend}"
 
 
 def _cmd_implies(args, out: TextIO) -> int:
@@ -156,8 +154,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 
     ground, cset = parse_constraint_file(_read(args.file))
     target = DifferentialConstraint.parse(ground, args.target)
-    context = EvalContext(backend=default_planner().plan(ground.size).backend)
-    answer = decide(cset, target, method=args.method, context=context)
+    answer = decide(cset, target, method=args.method)
     print(f"{'IMPLIED' if answer else 'NOT IMPLIED'}: {target!r}", file=out)
     if not answer and args.counterexample:
         u = find_uncovered(cset, target)
@@ -167,29 +164,21 @@ def _cmd_implies(args, out: TextIO) -> int:
             file=out,
         )
         if ground.is_dense_capable():
-            # re-check the Theorem 3.5 witness on the planned backend
-            exact = context.exact
-            f_u = principal_ideal_function(ground, u, exact=exact)
+            # re-check the Theorem 3.5 witness with exact arithmetic
+            f_u = principal_ideal_function(ground, u, exact=True)
             ok = cset.satisfied_by(f_u) and not target.satisfied_by(f_u)
-            kind = "exact" if exact else "float"
-            print(f"witness checked on the {kind} backend: "
+            print("witness checked on the exact backend: "
                   f"{'ok' if ok else 'FAILED'}", file=out)
     return 0 if answer else 1
 
 
 def _cmd_plan(args, out: TextIO) -> int:
-    """``repro plan [--explain]``: show the planner's resolution."""
+    """``repro plan``: the method ``implies`` takes, and why."""
     ground, cset = parse_constraint_file(_read(args.file))
-    planner = default_planner()
-    plan = planner.plan(ground.size)
-    if args.explain:
-        print(plan.explain(), file=out)
-        method, why = planner.decide_method(
-            ground.size, fd_fragment=cset.all_singleton_families()
-        )
-        print(f"  - implies method={method}: {why}", file=out)
-    else:
-        print(f"plan: {plan.stamp()}", file=out)
+    method, why = default_planner().decide_method(
+        ground.size, fd_fragment=cset.all_singleton_families()
+    )
+    print(f"plan: implies method={method}: {why}", file=out)
     return 0
 
 
@@ -285,7 +274,7 @@ def _cmd_stream(args, out: TextIO) -> int:
         density = db.multiset_counts()
     config = engine_config_from_args(args)
     session = cset.stream_session(density=density, config=config)
-    print(_engine_stamp_line(session.plan), file=out)
+    print(_engine_stamp_line(session.context), file=out)
     if args.data_dir and session.transactions:
         print(
             f"recovered {session.transactions} transaction(s) from "
@@ -361,19 +350,19 @@ def _cmd_serve(args, out: TextIO) -> int:
             "as a network service)"
         )
     queries = parse_query_file(ground, _read(args.queries))
-    config = engine_config_from_args(args)
     instance = None
-    plan = default_planner().plan(ground.size, config)
     if args.baskets:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
-        instance = build_context(plan, ground, density=db.multiset_counts())
+        instance = IncrementalEvalContext(
+            ground, density=db.multiset_counts()
+        )
     elif any(kind == "check" for kind, _ in queries):
         raise ValueError(
             "'check' queries need a live instance: no live instance was "
             "loaded (pass --baskets)"
         )
-    print(_engine_stamp_line(plan), file=out)
+    print(_engine_stamp_line(instance), file=out)
     answers, stats = serve_queries(cset, queries, instance=instance)
     failures = 0
     for (kind, constraint), answer in zip(queries, answers):
@@ -421,7 +410,7 @@ def _serve_network(args, ground, cset, out: TextIO) -> int:
         density=density,
         config=config,
     )
-    print(_engine_stamp_line(session.plan), file=out)
+    print(_engine_stamp_line(session.context), file=out)
     if args.data_dir and session.transactions:
         print(
             f"recovered {session.transactions} transaction(s) from "
@@ -552,15 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="show the backend the engine planner resolves for the "
-        "ground set (--explain prints the cost-model reasoning)",
+        help="show the method 'implies' takes for the constraint file "
+        "and why",
     )
     p.add_argument("file", help="constraint file ('-' for stdin)")
-    p.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the planner's reasoning, one line per decision",
-    )
     p.set_defaults(run=_cmd_plan)
 
     p = sub.add_parser("derive", help="print a checked derivation")

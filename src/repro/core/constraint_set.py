@@ -146,8 +146,8 @@ class ConstraintSet:
         """A :class:`repro.engine.StreamSession` monitoring this set.
 
         ``density`` optionally seeds the instance (``{mask: value}``);
-        ``config`` is the :class:`repro.engine.EngineConfig` the planner
-        resolves the session from.  Remaining keyword arguments pass
+        ``config`` is the :class:`repro.engine.EngineConfig` the session
+        runs on.  Remaining keyword arguments pass
         through to the session.
         """
         from repro.engine.stream import StreamSession

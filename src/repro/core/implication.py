@@ -33,7 +33,7 @@ implemented here:
     brain for the whole stack): ``fd`` when the instance is in the
     fragment, otherwise ``engine`` for dense-capable ground sets,
     otherwise ``sat``.  The planner's dense cutoff is the same constant
-    the live context factory uses, so the auto heuristic and the engine's
+    a live context refuses past, so the auto heuristic and the engine's
     own applicability check can never disagree.
 
 :func:`find_uncovered` exposes the certificate: a set

@@ -17,13 +17,11 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
 * :mod:`repro.engine.plan` -- the planner: :class:`EngineConfig` (one
-  configuration object: backend, tolerance, durability),
-  :class:`Planner` (the explicit cost model resolving the numeric
-  backend into a :class:`Plan` and the ``implies`` method),
-  :func:`build_context`, the one live factory (one-shot questions run
-  on a plain :class:`EvalContext`, live instances on an
-  :class:`IncrementalEvalContext` built here), and the affinity-aware
-  :func:`effective_cpus` the fleet sizing consults;
+  configuration object: an optional backend pin -- ``exact`` unless
+  pinned -- tolerance, durability), :class:`Planner` (the explicit
+  cost model resolving the ``implies`` method and capping the fleet
+  size), and the affinity-aware :func:`effective_cpus` the fleet
+  sizing consults;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
   a sparse live density with delta-maintained support/differential
   views (one subset add per row delta instead of ``O(n * 2^n)``
@@ -80,9 +78,7 @@ from repro.engine.batch import (
 from repro.engine.context import EvalContext, default_context
 from repro.engine.plan import (
     EngineConfig,
-    Plan,
     Planner,
-    build_context,
     default_fleet_workers,
     default_planner,
     effective_cpus,
@@ -159,9 +155,7 @@ __all__ = [
     "EvalContext",
     "default_context",
     "EngineConfig",
-    "Plan",
     "Planner",
-    "build_context",
     "default_fleet_workers",
     "default_planner",
     "effective_cpus",

@@ -14,8 +14,8 @@ to be threaded ad hoc through the library:
 
 One-shot questions run on one of these directly (library callers
 mostly rely on :func:`default_context`); live instances run on the
-:class:`~repro.engine.incremental.IncrementalEvalContext` subclass that
-the planner's :func:`~repro.engine.plan.build_context` constructs.
+:class:`~repro.engine.incremental.IncrementalEvalContext` subclass
+(stream sessions and served basket files construct it directly).
 """
 
 from __future__ import annotations

@@ -68,6 +68,7 @@ from repro.engine.backends import (
 )
 from repro.engine.context import EvalContext
 from repro.engine.decider import ImplicationCache
+from repro.errors import PlanError
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -81,6 +82,11 @@ __all__ = [
 #: ``repro.core.setfunction.DEFAULT_TOLERANCE`` (engine layering keeps
 #: this module from importing core, so the constant is restated).
 DEFAULT_TOLERANCE = 1e-9
+
+#: The largest ground set a live context serves; mirrors
+#: ``repro.core.ground.MAX_DENSE_SIZE`` (the test suite asserts
+#: agreement).
+DENSE_LIMIT = 22
 
 Number = Union[int, float]
 
@@ -149,8 +155,10 @@ class IncrementalEvalContext(EvalContext):
     Parameters
     ----------
     ground:
-        The ground set (anything with ``.size``); must be dense-capable
-        since ``2^n`` tables are maintained.
+        The ground set (anything with ``.size``); past
+        :data:`DENSE_LIMIT` elements the constructor raises
+        :class:`~repro.errors.PlanError`, since dense ``2^n`` views are
+        built on request.
     density:
         Optional initial density as a ``{mask: value}`` mapping (for a
         basket database: its multiset counts ``d^B``).
@@ -199,10 +207,11 @@ class IncrementalEvalContext(EvalContext):
         if isinstance(backend, str):
             backend = backend_by_name(backend)
         super().__init__(backend=backend, cache=cache)
-        if not getattr(ground, "is_dense_capable", lambda: True)():
-            raise ValueError(
-                f"|S| = {ground.size} exceeds the dense-table limit; "
-                "incremental contexts maintain 2^n tables"
+        if ground.size > DENSE_LIMIT:
+            raise PlanError(
+                f"live contexts keep dense 2^|S| views; |S| = {ground.size} "
+                f"exceeds the dense limit {DENSE_LIMIT} (one-shot "
+                "implication takes method='sat')"
             )
         self._ground = ground
         self._n = ground.size
@@ -246,7 +255,8 @@ class IncrementalEvalContext(EvalContext):
 
     @property
     def tol(self) -> float:
-        """Comparison tolerance (``0.0`` on exact backends)."""
+        """The zero tolerance deciding ``d_f(U) == 0`` (the configured
+        ``tol`` on either backend)."""
         return self._tol
 
     def _check_mask(self, mask: int) -> None:

@@ -455,8 +455,8 @@ class ReproService(HttpService):
         The :class:`repro.engine.EngineConfig` an empty in-memory
         session is built from when no ``session`` is given (ignored
         otherwise: a given session already runs on its own config).
-        The session's resolved plan is stamped into ``/stats`` under
-        ``"engine"`` as ``{"backend", "durable"}``.
+        ``/stats`` reports what the session runs on under ``"engine"``
+        as ``{"backend", "durable"}``.
     """
 
     def __init__(
@@ -542,8 +542,11 @@ class ReproService(HttpService):
             stats = dict(self._server.stats.as_dict())
             stats["refused"] = self._refused
             stats["inflight"] = self._inflight
-            # the resolved engine plan the service is running
-            stats["engine"] = self._session.plan.as_dict()
+            # what the live session runs on
+            stats["engine"] = {
+                "backend": self._session.context.backend.name,
+                "durable": self._session.durable,
+            }
             return 200, stats
         if method != "POST":
             return 405, {"error": f"{method} not allowed on {path}"}
@@ -614,12 +617,11 @@ class ReproService(HttpService):
             )
         async with self._write_lock:
             report = self._session.apply_ops(transactions[0])
-        fmt = repr
         return 200, {
             "tx": report.tx,
-            "newly_violated": [fmt(c) for c in report.newly_violated],
-            "restored": [fmt(c) for c in report.restored],
-            "violated": [fmt(c) for c in report.violated],
+            "newly_violated": [repr(c) for c in report.newly_violated],
+            "restored": [repr(c) for c in report.restored],
+            "violated": [repr(c) for c in report.violated],
         }
 
     # ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.engine.decider import (
     constraint_set_fingerprint,
     shared_cache,
 )
+from repro.engine.incremental import DEFAULT_TOLERANCE
 
 __all__ = ["ConstraintServer", "ServerStats", "serve_queries"]
 
@@ -128,13 +129,20 @@ class ConstraintServer:
 
         Keyed by the instance's ``zero_version`` when available, so a
         delta that changes ``Z(f)`` invalidates exactly the stale
-        answers; instances without versions are never memoized.
+        answers; instances without versions are never memoized.  The
+        check runs under the instance's own ``tol`` (the tolerance its
+        statuses and ``zero_version`` are tracked under), else the
+        library default.
         """
         if self._instance is None:
             raise RuntimeError("this server has no live instance to check")
         version = getattr(self._instance, "zero_version", None)
         key = ("check", version, constraint_fingerprint(constraint))
-        compute = partial(constraint.satisfied_by, self._instance)
+        compute = partial(
+            constraint.satisfied_by,
+            self._instance,
+            tol=getattr(self._instance, "tol", DEFAULT_TOLERANCE),
+        )
         return self._serve_batch([(key, compute, version is not None)])[0]
 
     # the name is kept for perfbench/spans.py, which wraps it by name

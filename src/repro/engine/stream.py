@@ -42,12 +42,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.decider import ImplicationCache
 from repro.engine.incremental import IncrementalEvalContext, Number
-from repro.engine.plan import (
-    EngineConfig,
-    Plan,
-    build_context,
-    default_planner,
-)
+from repro.engine.plan import EngineConfig
 from repro.engine.persist import (
     DurableStore,
     decode_density,
@@ -61,9 +56,6 @@ from repro.engine.persist import (
 from repro.errors import PersistenceError
 
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
-
-#: The config a session runs on when none is given: the exact backend.
-_DEFAULT_CONFIG = EngineConfig(backend="exact")
 
 
 def _recorded_backend(meta: dict) -> Optional[str]:
@@ -119,12 +111,11 @@ class StreamSession:
 
     ``density`` seeds the instance (e.g. a basket database's multiset
     counts) without counting as a transaction.  Engine policy comes in
-    as one :class:`~repro.engine.plan.EngineConfig` (``config=``; by
-    default the exact backend): the planner resolves its backend and
-    the live :class:`~repro.engine.incremental.IncrementalEvalContext`
-    is built through the one live factory,
-    :func:`~repro.engine.plan.build_context`, which refuses ground sets
-    past the dense limit with :class:`~repro.errors.PlanError`.
+    as one :class:`~repro.engine.plan.EngineConfig` (``config=``): the
+    live :class:`~repro.engine.incremental.IncrementalEvalContext` runs
+    on ``config.backend``, else on the backend a reopened data
+    directory recorded, else on ``exact``; it refuses ground sets past
+    the dense limit with :class:`~repro.errors.PlanError`.
     ``config.tol`` is the zero tolerance of the constraint checks.
     ``cache`` is the :class:`~repro.engine.decider.ImplicationCache`
     the context memoizes into (the process-wide one by default).
@@ -153,7 +144,7 @@ class StreamSession:
         config: Optional[EngineConfig] = None,
     ):
         if config is None:
-            config = _DEFAULT_CONFIG
+            config = EngineConfig()
         self._config = config
         constraints = tuple(constraints)
         self._snapshot_every = config.snapshot_every
@@ -172,26 +163,27 @@ class StreamSession:
             and not self._store.is_empty()
             and config.backend is None
         ):
-            # an auto reopen inherits the directory's recorded backend
-            # instead of racing the cost model against history
+            # an unpinned reopen inherits the directory's recorded
+            # backend, so directories written on float reopen on float
             recorded = _recorded_backend(self._store.meta or {})
             if recorded in ("exact", "float"):
                 config = config.replace(backend=recorded)
                 # session.config must describe the session as it runs:
                 # consumers forward it to build sibling components
                 self._config = config
-        self._plan = default_planner().plan(ground.size, config)
+        backend = config.backend or "exact"
         recovered = None
         if self._store is not None and not self._store.is_empty():
             recovered = self._store.recover()
             density = self._check_reopen(
-                ground, self._plan.backend, config.tol, density, recovered
+                ground, backend, config.tol, density, recovered
             )
-        self._context = build_context(
-            self._plan,
+        self._context = IncrementalEvalContext(
             ground,
             density=density,
             constraints=constraints,
+            backend=backend,
+            tol=config.tol,
             cache=cache,
         )
         self._tx = 0
@@ -204,10 +196,6 @@ class StreamSession:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    @staticmethod
-    def _backend_name(backend) -> str:
-        return backend if isinstance(backend, str) else backend.name
-
     def _check_reopen(self, ground, backend, tol, density, recovered):
         """Validate a reopen against the directory's identity record and
         return the density to seed the context with (the snapshot's)."""
@@ -222,11 +210,10 @@ class StreamSession:
                 f"{self._store.path}: recorded |S|={meta['n']} != "
                 f"ground set size {ground.size}"
             )
-        if _recorded_backend(meta) != self._backend_name(backend):
+        if _recorded_backend(meta) != backend:
             raise PersistenceError(
                 f"{self._store.path}: recorded backend "
-                f"{meta['backend']!r} != requested "
-                f"{self._backend_name(backend)!r}"
+                f"{meta['backend']!r} != requested {backend!r}"
             )
         if meta["tol"] != tol:
             raise PersistenceError(
@@ -342,13 +329,8 @@ class StreamSession:
 
     @property
     def config(self) -> EngineConfig:
-        """The engine configuration this session was planned from."""
+        """The engine configuration this session runs on."""
         return self._config
-
-    @property
-    def plan(self) -> Plan:
-        """The plan this session runs on."""
-        return self._plan
 
     @property
     def ground(self):

@@ -92,9 +92,9 @@ class WalGapError(PersistenceError):
 
 
 class PlanError(ReproError, ValueError):
-    """Raised by the engine planner when a requested configuration is
-    unsatisfiable (e.g. a live context over a ground set too large for
-    dense tables, or an unknown backend or fsync policy)."""
+    """Raised when a requested engine configuration is unsatisfiable
+    (e.g. a live context over a ground set past the dense limit, or an
+    unknown backend or fsync policy)."""
 
 
 class NotImpliedError(ReproError):

@@ -165,8 +165,8 @@ class BasketDatabase:
         (:func:`repro.fis.discovery.zero_set` and friends) consume the
         session state directly.
 
-        ``config`` is the :class:`repro.engine.EngineConfig` the planner
-        resolves the session from; remaining keyword arguments pass
+        ``config`` is the :class:`repro.engine.EngineConfig` the session
+        runs on; remaining keyword arguments pass
         through to the session.  ``config.durable`` (a data directory)
         makes the session crash-proof and *reopenable*: the first open
         records this database's counts as the seed (fingerprinted),

@@ -46,45 +46,32 @@ __all__ = [
 AnySetFunction = Union[SetFunction, SparseDensityFunction]
 
 
-def _as_function(source, config=None):
+def _as_function(source):
     """Unwrap mining sources: stream sessions expose their live context
     (which itself implements the set-function protocol); incremental
-    contexts pass through directly.
-
-    ``config`` (an :class:`repro.engine.EngineConfig`) turns a basket
-    database into a live context instead of the plain sparse support
-    function: the planner resolves the backend for the database's size
-    and :func:`repro.engine.plan.build_context`, the one live factory,
-    builds the context the mining runs over (with cached,
-    delta-invalidated zero sets).
+    contexts pass through directly; basket databases become their
+    sparse support function.  A live source over a basket database is
+    its :meth:`~repro.fis.BasketDatabase.stream_session`.
     """
     from repro.engine.stream import StreamSession
 
     if isinstance(source, StreamSession):
         return source.context
     if isinstance(source, BasketDatabase):
-        if config is not None:
-            from repro.engine.plan import build_context, default_planner
-
-            plan = default_planner().plan(source.ground.size, config)
-            return build_context(
-                plan, source.ground, density=source.multiset_counts()
-            )
         return source.support_function()
     return source
 
 
-def zero_set(f, tol: float = DEFAULT_TOLERANCE, config=None) -> Set[int]:
+def zero_set(f, tol: float = DEFAULT_TOLERANCE) -> Set[int]:
     """``Z(f)``: the subsets where the density vanishes.
 
     Accepts set functions, basket databases, stream sessions, and
     incremental contexts.  Incremental state answers from its cached
     zero set -- invalidated only when a density entry actually crosses
     zero, so discovery over a growing instance reuses work across
-    deltas instead of rescanning per query.  ``config`` routes a basket
-    database through the engine planner (see :func:`_as_function`).
+    deltas instead of rescanning per query.
     """
-    f = _as_function(f, config)
+    f = _as_function(f)
     cached = getattr(f, "zero_set", None)
     if cached is not None:
         return set(cached(tol))
@@ -95,14 +82,14 @@ def zero_set(f, tol: float = DEFAULT_TOLERANCE, config=None) -> Set[int]:
     return {mask for mask in ground.all_masks() if mask not in nonzero}
 
 
-def theory_of(f, tol: float = DEFAULT_TOLERANCE, config=None) -> ConstraintSet:
+def theory_of(f, tol: float = DEFAULT_TOLERANCE) -> ConstraintSet:
     """The atomic axiomatization of all constraints ``f`` satisfies.
 
     Returns ``{atom(U) | U in Z(f)}``; a constraint is satisfied by ``f``
     iff this set implies it (tested property).  Accepts the same sources
-    (and the same planner ``config`` routing) as :func:`zero_set`.
+    as :func:`zero_set`.
     """
-    f = _as_function(f, config)
+    f = _as_function(f)
     ground = f.ground
     return ConstraintSet(
         ground, (atom(ground, u) for u in sorted(zero_set(f, tol)))
@@ -112,25 +99,23 @@ def theory_of(f, tol: float = DEFAULT_TOLERANCE, config=None) -> ConstraintSet:
 def discover_cover(
     source: Union[AnySetFunction, BasketDatabase],
     tol: float = DEFAULT_TOLERANCE,
-    config=None,
 ) -> ConstraintSet:
     """A compact cover of the source's differential theory.
 
     Accepts a set function, a basket database (whose support function is
-    used -- or, with a planner ``config``, a live context built through
-    :func:`repro.engine.plan.build_context`), or a stream session /
-    incremental context (whose live density
-    state is read in place).  Atoms are pairwise irredundant (each covers exactly one
-    zero), so compression requires *growing* constraints instead of
-    pruning them: starting from the atom of an uncovered zero, the
-    left-hand side is shrunk and family members dropped as long as the
-    lattice decomposition stays inside the zero set ``Z(f)`` -- every
-    enlargement keeps the constraint satisfied while covering more zeros.
-    Greedy set cover over the grown constraints, followed by redundancy
-    pruning, yields a set equivalent to the full theory (tested) that is
-    typically far smaller than the atomic axiomatization.
+    used), or a stream session / incremental context (whose live density
+    state is read in place). Atoms are pairwise irredundant (each covers
+    exactly one zero), so compression requires *growing* constraints
+    instead of pruning them: starting from the atom of an uncovered
+    zero, the left-hand side is shrunk and family members dropped as
+    long as the lattice decomposition stays inside the zero set ``Z(f)``
+    -- every enlargement keeps the constraint satisfied while covering
+    more zeros. Greedy set cover over the grown constraints, followed by
+    redundancy pruning, yields a set equivalent to the full theory
+    (tested) that is typically far smaller than the atomic
+    axiomatization.
     """
-    f = _as_function(source, config)
+    f = _as_function(source)
     ground = f.ground
     zeros = zero_set(f, tol)
     remaining = set(zeros)

@@ -145,8 +145,8 @@ class StreamingFDChecker:
     restored -- no quadratic re-scan of the relation per check.
 
     Engine policy comes in as one :class:`repro.engine.EngineConfig`
-    (``config=``; by default the exact backend), resolved by the
-    planner into the live session's context.
+    (``config=``), which the live session runs on (the ``exact``
+    backend unless pinned).
 
     ``config.durable`` (a data directory) makes the checker
     crash-proof: the durable state is the *rows* (the agreement
@@ -173,7 +173,7 @@ class StreamingFDChecker:
         from repro.engine.stream import StreamSession
 
         if config is None:
-            config = EngineConfig(backend="exact")
+            config = EngineConfig()
         durable = config.durable
         self._ground = ground
         self._fds: List[FunctionalDependency] = list(fds)

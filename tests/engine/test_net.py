@@ -50,11 +50,23 @@ class TestWireProtocol:
         assert health["tracked"] == 2 and health["durable"] is False
         stats = client.stats()
         assert stats["refused"] == 0
-        # the resolved engine plan is stamped into /stats
+        # what the live session runs on is stamped into /stats
         assert stats["engine"]["backend"] == "exact"
         assert stats["engine"]["durable"] is False
-        # the engine block names the plan, nothing else
+        # the engine block names backend and durability, nothing else
         assert set(stats["engine"]) == {"backend", "durable"}
+
+    def test_unpinned_service_runs_exact_at_twenty_elements(self):
+        # the |S| = 20 shape `repro serve --data-dir` serves: the
+        # backend is exact unless pinned
+        big = GroundSet("ABCDEFGHIJKLMNOPQRST")
+        handle = ReproService(ConstraintSet.of(big, "A -> B")).start_in_thread()
+        try:
+            assert handle.client().stats()["engine"] == {
+                "backend": "exact", "durable": False,
+            }
+        finally:
+            handle.stop()
 
     def test_boot_from_one_engine_config(self, cset):
         handle = ReproService(

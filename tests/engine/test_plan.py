@@ -1,7 +1,8 @@
-"""The engine planner: backend boundaries, the config surface and the
-live factory.
+"""The engine planner: the backend rule, the config surface and the
+live context's dense-limit guard.
 
-Every cost-model threshold is crossed from both sides, degenerate
+The backend is ``exact`` at every dense-capable size unless pinned,
+every cost-model threshold is crossed from both sides, degenerate
 ground sets (``|S| in {0, 1}``) are pinned, and the engine kwargs and
 tier knobs that the config object replaced are verified to be gone.
 """
@@ -17,7 +18,6 @@ from repro.engine import (
     EvalContext,
     IncrementalEvalContext,
     StreamSession,
-    build_context,
     default_context,
     default_planner,
 )
@@ -25,10 +25,6 @@ from repro.engine.plan import DENSE_LIMIT
 from repro.errors import NotApplicableError, PlanError
 from repro.fis import BasketDatabase
 from repro.relational import StreamingFDChecker
-
-
-def plan_for(n, config=None):
-    return default_planner().plan(n, config)
 
 
 def ground_of(n):
@@ -46,15 +42,12 @@ class TestCostModelBoundaries:
         # and the planner sends it to the batched table decider
         assert type(default_context()) is EvalContext
         assert default_planner().decide_method(8)[0] == "engine"
-        assert plan_for(8).backend == "exact"
 
     def test_past_dense_limit_is_scalar(self):
-        # past the dense limit one-shot implication takes the SAT path;
-        # the planner still resolves a backend for the one-shot context
+        # past the dense limit one-shot implication takes the SAT path
         planner = default_planner()
         assert planner.decide_method(DENSE_LIMIT)[0] == "engine"
         assert planner.decide_method(DENSE_LIMIT + 1)[0] == "sat"
-        assert plan_for(DENSE_LIMIT + 1).backend == "float"
 
     def test_streaming_is_incremental(self):
         session = StreamSession(ground_of(8))
@@ -68,93 +61,66 @@ class TestCostModelBoundaries:
             assert type(session.context) is IncrementalEvalContext
             session.close()
 
-    def test_backend_crossover(self):
-        flt = default_planner().FLOAT_MIN_N
-        # two rungs: exact below the float bar, float from it up
-        for n in (0, 2, flt - 1):
-            assert plan_for(n).backend == "exact"
-        for n in (flt, DENSE_LIMIT):
-            assert plan_for(n).backend == "float"
-
     def test_incremental_tier_shares_the_backend_rule(self):
-        flt = default_planner().FLOAT_MIN_N
         # the live density is a sparse dict on every backend, so live
-        # contexts have no bar of their own: the factory builds the
-        # one-shot plan's backend
+        # contexts have no size bar: unpinned, they run on exact
         for n in range(DENSE_LIMIT + 1):
-            plan = plan_for(n)
-            live = build_context(plan, ground_of(n))
-            assert live.backend.name == plan.backend
-        assert plan_for(flt - 1).backend == "exact"
-        assert plan_for(flt).backend == "float"
-        assert plan_for(flt, EngineConfig(tol=0.0)).backend == "exact"
-
-    def test_zero_tolerance_forces_exact(self):
-        flt = default_planner().FLOAT_MIN_N
-        # past the float bar, tol=0 still demands exact zero tests
-        for n in (0, 2, flt - 1, flt, flt + 2, DENSE_LIMIT):
-            assert plan_for(n, EngineConfig(tol=0.0)).backend == "exact"
+            live = IncrementalEvalContext(ground_of(n))
+            assert live.backend.name == "exact"
 
     def test_pinned_backend_wins(self):
-        assert plan_for(4, EngineConfig(backend="float")).backend == "float"
-        assert plan_for(20, EngineConfig(backend="exact")).backend == "exact"
+        for n, pin in ((4, "float"), (20, "exact"), (20, "float")):
+            session = StreamSession(
+                ground_of(n), config=EngineConfig(backend=pin)
+            )
+            assert session.context.backend.name == pin
+            session.close()
 
     def test_resolved_backend_table(self):
         """The backend rule over every dense-capable size, both
-        tolerances and every pin: exact at tol=0 or below the float
-        bar, float from it up, a pin always wins."""
-        flt = default_planner().FLOAT_MIN_N
+        tolerances and every pin: a pin wins, otherwise exact."""
         for n in range(DENSE_LIMIT + 1):
+            ground = ground_of(n)
             for tol in (0.0, EngineConfig().tol):
                 for pin in (None, "exact", "float"):
                     config = EngineConfig(backend=pin, tol=tol)
-                    if pin is not None:
-                        expected = pin
-                    elif tol == 0 or n < flt:
-                        expected = "exact"
-                    else:
-                        expected = "float"
-                    assert plan_for(n, config).backend == expected, (
-                        n, tol, pin
-                    )
+                    session = StreamSession(ground, config=config)
+                    assert session.context.backend.name == (
+                        pin or "exact"
+                    ), (n, tol, pin)
+                    assert session.context.tol == tol
+                    session.close()
 
     def test_single_cpu_host_never_shards(self, monkeypatch):
         from repro.engine import plan as plan_module
 
         monkeypatch.setattr(plan_module, "effective_cpus", lambda: 1)
         # a big live instance on one CPU is still one incremental
-        # context: the plan names a backend and durability, nothing else
-        plan = plan_for(16)
-        assert set(plan.as_dict()) == {"backend", "durable"}
+        # context on the exact backend
         session = StreamSession(
             ground_of(16), density={m: 1 for m in range(1000)},
             config=EngineConfig(),
         )
         assert type(session.context) is IncrementalEvalContext
-        assert session.plan == plan
+        assert session.context.backend.name == "exact"
         session.close()
-
-    def test_plan_overhead_reasons_and_stamp(self):
-        plan = plan_for(8)
-        assert plan.reasons  # --explain has something to print
-        assert plan.stamp() == f"backend={plan.backend}"
-        assert plan.as_dict() == {"backend": "exact", "durable": False}
-        assert "backend=exact" in plan.explain()
-        assert not hasattr(plan, "tier")
 
 
 class TestForcedTiersAndValidation:
     def test_forced_live_tier_past_dense_limit_is_loud(self):
         big = ground_of(DENSE_LIMIT + 1)
-        with pytest.raises(PlanError, match="dense limit"):
-            StreamSession(big)
-        with pytest.raises(PlanError, match="dense limit"):
-            build_context(plan_for(big.size), big)
-        from repro.fis.discovery import zero_set
-
-        db = BasketDatabase.of(big, "x0")
-        with pytest.raises(PlanError, match="dense limit"):
-            zero_set(db, config=EngineConfig())
+        # one guard, in the live context itself; PlanError is still a
+        # ValueError for callers that catch that
+        for build in (
+            lambda: StreamSession(big),
+            lambda: StreamSession(big, config=EngineConfig(backend="float")),
+            lambda: IncrementalEvalContext(big),
+            lambda: BasketDatabase.of(big, "x0").stream_session(),
+        ):
+            with pytest.raises(PlanError, match="dense limit"):
+                build()
+        with pytest.raises(ValueError, match="dense limit"):
+            IncrementalEvalContext(big, backend="float")
 
     def test_config_validation(self):
         for bad in ("decimal", "exact-vec"):
@@ -166,8 +132,6 @@ class TestForcedTiersAndValidation:
             EngineConfig(fsync="sometimes")
         with pytest.raises(PlanError):
             EngineConfig(snapshot_every=0)
-        with pytest.raises(PlanError):
-            plan_for(-1)
 
     def test_config_has_exactly_five_fields(self):
         import dataclasses
@@ -182,20 +146,6 @@ class TestForcedTiersAndValidation:
     def test_removed_config_fields_are_a_type_error(self, kwarg):
         with pytest.raises(TypeError, match=kwarg):
             EngineConfig(**{kwarg: "auto"})
-
-
-class TestBuildContext:
-    def test_factory_returns_the_plan_tier(self):
-        ground = GroundSet("ABCD")
-        for backend in ("exact", "float"):
-            plan = plan_for(4, EngineConfig(backend=backend, tol=1e-6))
-            ctx = build_context(plan, ground, density={0b0011: 2})
-            # the one live factory: always the incremental context, on
-            # the plan's backend and tolerance
-            assert type(ctx) is IncrementalEvalContext
-            assert ctx.backend.name == backend
-            assert ctx.tol == 1e-6
-            assert ctx.value(0b0011) == 2
 
 
 class TestDecideMethod:
@@ -249,6 +199,14 @@ class TestDeprecationShims:
         # the one-shot EvalContext keeps the private-cache switch
         with pytest.raises(TypeError, match="private_cache"):
             IncrementalEvalContext(ground, private_cache=True)
+        # a live mining source is a StreamSession, so discovery takes
+        # no engine config
+        from repro.fis.discovery import discover_cover, theory_of, zero_set
+
+        db = BasketDatabase.of(ground, "A")
+        for mine in (zero_set, theory_of, discover_cover):
+            with pytest.raises(TypeError, match="config"):
+                mine(db, config=EngineConfig())
 
     def test_default_construction_does_not_warn(self):
         import warnings
@@ -260,25 +218,40 @@ class TestDeprecationShims:
             BasketDatabase.of(ground, "A").stream_session()
             StreamingFDChecker(ground, [])
         # the default session: the live context on the exact backend
-        assert session.plan.stamp() == "backend=exact"
+        assert session.context.backend.name == "exact"
 
 
 class TestDurableReopen:
     def test_auto_reopen_inherits_the_recorded_backend(self, tmp_path):
-        ground = GroundSet("ABC")
-        data = str(tmp_path / "data")
-        first = StreamSession(
-            ground,
-            config=EngineConfig(backend="float", durable=data),
-        )
-        first.insert("AB")
-        first.close()
-        reopened = StreamSession(ground, config=EngineConfig(durable=data))
-        # the plan AND the reported config describe the running backend
-        assert reopened.plan.backend == "float"
-        assert reopened.config.backend == "float"
-        assert reopened.context.backend.name == "float"
-        reopened.close()
+        """An unpinned reopen runs on the backend the directory
+        recorded: float directories -- every ``repro serve --data-dir``
+        at ``|S| >= 14`` wrote one while the planner had a float rung --
+        reopen on float with identical state."""
+        for n, rows in ((4, ("AB",)), (20, ("AB", "A", "CD", "ABT"))):
+            ground = GroundSet("ABCDEFGHIJKLMNOPQRST"[:n])
+            theory = ConstraintSet.of(ground, "A -> B", "C -> D").constraints
+            data = str(tmp_path / f"data{n}")
+            first = StreamSession(
+                ground,
+                constraints=theory,
+                config=EngineConfig(backend="float", durable=data),
+            )
+            for row in rows:
+                first.insert(row)
+            density = list(first.context.density_items())
+            violated = first.context.violated_constraints()
+            first.close()
+            reopened = StreamSession(
+                ground, constraints=theory, config=EngineConfig(durable=data)
+            )
+            # the reported config AND the context describe the running
+            # backend
+            assert reopened.config.backend == "float"
+            assert reopened.context.backend.name == "float"
+            assert list(reopened.context.density_items()) == density
+            assert reopened.context.violated_constraints() == violated
+            assert reopened.transactions == len(rows)
+            reopened.close()
 
     @pytest.mark.parametrize("backend", [None, "exact"], ids=["auto", "exact"])
     def test_exact_vec_directories_reopen_as_exact(self, tmp_path, backend):
@@ -311,7 +284,6 @@ class TestDurableReopen:
         if backend is not None:
             config = config.replace(backend=backend)
         reopened = StreamSession(ground, constraints=theory, config=config)
-        assert reopened.plan.backend == "exact"
         assert reopened.config.backend == "exact"
         assert reopened.context.backend.name == "exact"
         assert list(reopened.context.density_items()) == density

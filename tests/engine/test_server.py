@@ -86,6 +86,30 @@ class TestConstraintServer:
         assert server.stats.cache_hits == 1
         assert server.stats.computed == 2
 
+    def test_check_uses_the_instance_tolerance(self):
+        """``/check`` answers under the tolerance the instance tracks its
+        statuses and ``zero_version`` under, not the library default."""
+        from repro.engine import EngineConfig, StreamSession
+        from repro.fis.discovery import zero_set
+
+        ground = GroundSet("ABC")
+        cset = ConstraintSet.of(ground, "A -> B")
+        c = cset.constraints[0]
+        session = StreamSession(
+            ground, constraints=cset.constraints,
+            config=EngineConfig(tol=1e-6),
+        )
+        server = ConstraintServer(cset, instance=session.context)
+        a = ground.parse("A")
+        session.apply([(a, 1e-7)])  # below the instance's tolerance
+        assert session.violated_constraints() == ()
+        assert a in zero_set(session, tol=session.context.tol)
+        assert server.check(c) is True
+        session.apply([(a, 1e-3)])  # past it: A -> B is violated
+        assert session.violated_constraints() == (c,)
+        assert server.check(c) is False
+        session.close()
+
     def test_unversioned_instances_are_not_memoized(self, ground, cset):
         from repro.core import SetFunction
 

@@ -90,17 +90,12 @@ class TestImplies:
 
 class TestPlan:
     def test_one_shot_plan(self, constraint_file):
+        # the backend is exact unless pinned, so the plan is the method
+        # `implies` takes, with the cost model's reason
         code, text = _run(["plan", constraint_file])
         assert code == 0
-        assert "plan: backend=exact\n" in text
-
-    def test_explain_prints_the_cost_model(self, constraint_file):
-        code, text = _run(["plan", constraint_file, "--explain"])
-        assert code == 0
-        assert "backend=exact" in text
-        assert "lossless" in text
-        # the implication brain is the same planner
-        assert "implies method=" in text
+        assert "plan: implies method=fd: " in text
+        assert "backend" not in text
 
     @pytest.mark.parametrize(
         "command", ["implies", "plan", "stream", "serve", "fleet"]
@@ -155,6 +150,7 @@ class TestPlan:
             ["--backend", "float"],
             ["--calibrate"],
             ["--recalibrate"],
+            ["--explain"],
         ],
     )
     def test_removed_engine_flags_exit_2(
@@ -361,6 +357,24 @@ class TestServe:
         assert "VIOLATED: B -> {C}" in text
         assert "# served 5 queries: 1 cache hits, 4 computed\n" in text
         assert code == 1  # some answers were negative
+
+    def test_unpinned_baskets_run_exact_at_twenty_elements(self, tmp_path):
+        # the live instance is exact at every dense-capable size unless
+        # pinned, and the CLI has no pin
+        items = "ABCDEFGHIJKLMNOPQRST"
+        constraints = tmp_path / "big.txt"
+        constraints.write_text(f"{items}\nA -> B\n")
+        baskets = tmp_path / "big_baskets.txt"
+        baskets.write_text(f"{items}\nAB\nABT\nA\n")
+        queries = tmp_path / "big_queries.txt"
+        queries.write_text("check A -> B\nimplies A -> B\n")
+        code, text = _run([
+            "serve", str(constraints), str(queries),
+            "--baskets", str(baskets),
+        ])
+        assert "# engine: backend=exact\n" in text
+        assert "VIOLATED: A -> {B}" in text
+        assert code == 1
 
     def test_all_positive_exits_zero(self, constraint_file, tmp_path):
         queries = tmp_path / "q.txt"

@@ -94,9 +94,11 @@ class TestTutorial:
 class TestArchitecture:
     def test_all_blocks_run(self):
         namespace = _run_blocks(os.path.join(ROOT, "docs", "ARCHITECTURE.md"))
-        # the planner examples resolved the documented backends
-        assert namespace["one_shot"].backend == "exact"
-        assert namespace["streaming"].backend == "float"
+        # the planner example resolved the documented method, and the
+        # live examples ran on the documented backends
+        assert namespace["method"] == "engine"
+        assert namespace["streaming"].context.backend.name == "exact"
+        assert namespace["pinned"].context.backend.name == "float"
         # the ring examples exercised the fleet layer
         assert namespace["ring"].route("tenant-a") in {0, 1, 2, 3}
         # the shipping example recovered both acknowledged transactions
