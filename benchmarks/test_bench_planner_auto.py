@@ -16,9 +16,12 @@ Acceptance (asserted):
 
 * the planner itself is free: **< 1 ms per decide_method()** call;
 * ``auto`` achieves **>= 0.9x the throughput of the best hand-tuned
-  configuration** on every shape (one remeasure absorbs scheduler
-  noise -- auto resolves to one of the candidate configurations, so
-  the true ratio is ~1.0).
+  configuration** on every shape.  A shape below the floor is
+  remeasured as the median ratio of back-to-back single runs of
+  ``auto`` and the best candidate, which a busy spell on a shared host
+  slows alike.  Auto resolves to one of the candidate configurations,
+  so the true ratio is ~1.0 on the live shapes; on E5 auto also pays
+  its per-query method dispatch, a few percent of a memoized answer.
 
 Row keys are host-independent (fixed candidate labels; the auto rows
 record what ``auto`` resolved to for the fixed ground-set sizes, which
@@ -27,7 +30,10 @@ does not depend on the measuring host).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import random
+import statistics
 import time
 
 from repro.core import ConstraintSet, GroundSet, decide
@@ -50,16 +56,61 @@ SCALE_ROUNDS = 40
 SCALE_SEED_ROWS = 2_000
 DECIDE_CALLS = 2_000
 FLOOR = 0.9
+REMEASURE_PAIRS = 21
+
+
+@contextlib.contextmanager
+def _collector_off():
+    # as in timeit: a collection pause lands on whichever candidate
+    # happens to be running, so no timed run pays for one
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _elapsed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def _best_of(fn, rounds=5):
-    best = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+    with _collector_off():
+        return min(_elapsed(fn) for _ in range(rounds))
+
+
+def _throughput(runner):
+    """Operations per second of ``runner``'s run, best of five."""
+    with runner as (run, ops):
+        return ops / _best_of(run)
+
+
+def _paired_ratio(auto_runner, best_runner, pairs=REMEASURE_PAIRS):
+    """The median ``auto`` / ``best`` throughput ratio over back-to-back
+    single runs, each side first in turn.
+
+    Adjacent runs see the same host: a busy spell long enough to slow
+    one side of a pair slows the other too, and the median ignores
+    the pairs a spell only straddles.
+    """
+    with auto_runner as (auto, auto_ops), best_runner as (best, best_ops):
+        auto()  # untimed warm-up: the first run fills the caches
+        best()
+        ratios = []
+        with _collector_off():
+            for i in range(pairs):
+                if i % 2:
+                    best_s = _elapsed(best)
+                    auto_s = _elapsed(auto)
+                else:
+                    auto_s = _elapsed(auto)
+                    best_s = _elapsed(best)
+                ratios.append((auto_ops / auto_s) / (best_ops / best_s))
+    return statistics.median(ratios)
 
 
 def _query_workload():
@@ -94,7 +145,8 @@ def _query_workload():
     return ground, cset, targets
 
 
-def _time_queries(cset, targets, method, repeats=10):
+@contextlib.contextmanager
+def _queries(cset, targets, method, repeats=10):
     context = EvalContext(private_cache=True)  # no cross-candidate reuse
     decide(cset, targets[0], method=method, context=context)  # warm caches
 
@@ -103,7 +155,7 @@ def _time_queries(cset, targets, method, repeats=10):
             for target in targets:
                 decide(cset, target, method=method, context=context)
 
-    return QUERIES * repeats / _best_of(run)
+    yield run, QUERIES * repeats
 
 
 def _stream_ops(n, txs, seed):
@@ -122,17 +174,19 @@ def _auto_backend(ground):
     return name
 
 
-def _time_stream(ground, constraints, transactions, config):
+@contextlib.contextmanager
+def _stream(ground, constraints, transactions, config):
     def run():
         session = StreamSession(ground, constraints, config=config)
         for tx in transactions:
             session.apply(tx)
         session.close()
 
-    return len(transactions) / _best_of(run)
+    yield run, len(transactions)
 
 
-def _time_scale(ground, constraints, seed_density, bursts, probes, config):
+@contextlib.contextmanager
+def _scale(ground, constraints, seed_density, bursts, probes, config):
     session = StreamSession(
         ground, constraints, density=dict(seed_density), config=config
     )
@@ -144,9 +198,10 @@ def _time_scale(ground, constraints, seed_density, bursts, probes, config):
             for mask in probes:
                 session.value(mask)
 
-    throughput = len(bursts) / _best_of(run)
-    session.close()
-    return throughput
+    try:
+        yield run, len(bursts)
+    finally:
+        session.close()
 
 
 class TestPlannerAuto:
@@ -176,20 +231,20 @@ class TestPlannerAuto:
         # scalar methods do ~ms of real work per pass (one repeat is a
         # stable measurement); the memoized engine path answers in us,
         # so it is looped up to comparable wall time
+        repeats = {"engine": 10, "lattice": 1, "sat": 1, "auto": 10}
         e5 = {
-            "engine": _time_queries(cset, targets, "engine", repeats=10),
-            "lattice": _time_queries(cset, targets, "lattice", repeats=1),
-            "sat": _time_queries(cset, targets, "sat", repeats=1),
+            method: _throughput(
+                _queries(cset, targets, method, repeats[method])
+            )
+            for method in ("engine", "lattice", "sat")
         }
         best_method = max(e5, key=e5.get)
-        best_repeats = 10 if best_method == "engine" else 1
         self._emit(
             rows, ratios, "E5-implication", "q/s", e5,
-            _time_queries(cset, targets, "auto", repeats=10),
             f"auto->{auto_method}",
-            lambda: _time_queries(cset, targets, "auto", repeats=10),
-            lambda: _time_queries(
-                cset, targets, best_method, repeats=best_repeats
+            lambda: _queries(cset, targets, "auto", repeats["auto"]),
+            lambda: _queries(
+                cset, targets, best_method, repeats[best_method]
             ),
         )
 
@@ -206,20 +261,19 @@ class TestPlannerAuto:
             for backend in ("exact", "float")
         }
         e16 = {
-            label: _time_stream(s_ground, s_constraints, transactions, cfg)
+            label: _throughput(
+                _stream(s_ground, s_constraints, transactions, cfg)
+            )
             for label, cfg in pins.items()
         }
         best_stream = max(e16, key=e16.get)
         self._emit(
             rows, ratios, "E16-streaming", "tx/s", e16,
-            _time_stream(
-                s_ground, s_constraints, transactions, EngineConfig()
-            ),
             f"auto->{_auto_backend(s_ground)}",
-            lambda: _time_stream(
+            lambda: _stream(
                 s_ground, s_constraints, transactions, EngineConfig()
             ),
-            lambda: _time_stream(
+            lambda: _stream(
                 s_ground, s_constraints, transactions, pins[best_stream]
             ),
         )
@@ -238,22 +292,19 @@ class TestPlannerAuto:
         bursts = _stream_ops(N_SCALE, SCALE_ROUNDS, 1702)
         probes = [rng.randrange(1 << N_SCALE) for _ in range(4)]
         loaded = {
-            label: _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, cfg
+            label: _throughput(
+                _scale(c_ground, c_constraints, seed, bursts, probes, cfg)
             )
             for label, cfg in pins.items()
         }
         best_loaded = max(loaded, key=loaded.get)
         self._emit(
             rows, ratios, "loaded", "rounds/s", loaded,
-            _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, EngineConfig()
-            ),
             f"auto->{_auto_backend(c_ground)}",
-            lambda: _time_scale(
+            lambda: _scale(
                 c_ground, c_constraints, seed, bursts, probes, EngineConfig()
             ),
-            lambda: _time_scale(
+            lambda: _scale(
                 c_ground, c_constraints, seed, bursts, probes,
                 pins[best_loaded],
             ),
@@ -265,8 +316,7 @@ class TestPlannerAuto:
             for _ in range(2):
                 if ratio >= FLOOR:
                     break
-                # a remeasure absorbs scheduler noise (auto resolves to
-                # one of the candidate configs, so the true ratio is ~1)
+                # a paired remeasure absorbs scheduler noise
                 ratio = rerun()
                 if shape not in retried:
                     retried.append(shape)
@@ -292,9 +342,10 @@ class TestPlannerAuto:
 
     @staticmethod
     def _emit(
-        rows, ratios, shape, metric, hand_tuned, auto_thr, auto_label,
-        measure_auto, measure_best,
+        rows, ratios, shape, metric, hand_tuned, auto_label, auto_runner,
+        best_runner,
     ):
+        auto_thr = _throughput(auto_runner())
         for label, thr in sorted(hand_tuned.items()):
             rows.append((shape, f"{label}(hand)", metric, f"{thr:.1f}"))
         rows.append((shape, auto_label, metric, f"{auto_thr:.1f}"))
@@ -302,6 +353,6 @@ class TestPlannerAuto:
         rows.append((shape, "auto/best", "ratio", f"{auto_thr / best:.2f}x"))
 
         def remeasure():
-            return measure_auto() / measure_best()
+            return _paired_ratio(auto_runner(), best_runner())
 
         ratios[shape] = (auto_thr / best, remeasure)

@@ -97,6 +97,17 @@ class TestPlan:
         assert "plan: implies method=fd: " in text
         assert "backend" not in text
 
+    def test_explain_prints_the_cost_model(self, constraint_file, tmp_path):
+        # the plan line carries the cost model's reason for its method
+        code, text = _run(["plan", constraint_file])
+        assert code == 0
+        assert "P-time FD fragment" in text
+        general = tmp_path / "general.txt"
+        general.write_text("ABCD\nA -> B, CD\n")
+        code, text = _run(["plan", str(general)])
+        assert code == 0
+        assert "plan: implies method=engine: |S|=4 <= dense limit 22" in text
+
     @pytest.mark.parametrize(
         "command", ["implies", "plan", "stream", "serve", "fleet"]
     )
