@@ -50,9 +50,11 @@ reason about constraint files without writing Python:
     process and restarting it on the same directory recovers the
     instance exactly.
 
-Both ``stream`` and ``serve`` accept ``--data-dir`` (durability) and
-``--fsync always|never`` (WAL sync policy), and print the backend the
-live instance runs on as a ``# engine: backend=...`` stamp line.
+Both ``stream`` and ``serve --port`` accept ``--data-dir``
+(durability) and ``--fsync always|never`` (WAL sync policy), and print
+the backend the live instance runs on as a ``# engine: backend=...``
+stamp line.  Batch-mode ``serve`` keeps no durable state and refuses
+the durability flags with a usage error.
 
 Constraint files are plain text: first line the ground set (e.g.
 ``ABCD``), then one constraint per line in ``A -> B, CD`` syntax; ``#``
@@ -137,7 +139,7 @@ def engine_config_from_args(args) -> EngineConfig:
     return EngineConfig(
         durable=getattr(args, "data_dir", None),
         snapshot_every=getattr(args, "snapshot_every", None),
-        fsync=getattr(args, "fsync", "always"),
+        fsync=getattr(args, "fsync", None) or "always",
     )
 
 
@@ -344,6 +346,21 @@ def _cmd_serve(args, out: TextIO) -> int:
     ground, cset = parse_constraint_file(_read(args.file))
     if args.port is not None:
         return _serve_network(args, ground, cset, out)
+    ignored = [
+        flag
+        for flag, value in (
+            ("--data-dir", args.data_dir),
+            ("--snapshot-every", args.snapshot_every),
+            ("--fsync", args.fsync),
+            ("--ship-to", args.ship_to),
+        )
+        if value is not None
+    ]
+    if ignored:
+        raise ValueError(
+            f"{', '.join(ignored)} only apply to a network service: "
+            "batch mode keeps no durable state (pass --port)"
+        )
     if args.queries is None:
         raise ValueError(
             "serve needs a query file in batch mode (or --port to run "
@@ -741,7 +758,7 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--fsync",
-        default="always",
+        default=None,
         choices=["always", "never"],
         help="WAL sync policy: 'always' fsyncs each commit (default), "
         "'never' leaves flushing to the OS",

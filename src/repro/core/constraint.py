@@ -185,14 +185,9 @@ class DifferentialConstraint:
         if semantics != DENSITY:
             raise ValueError(f"unknown semantics {semantics!r}")
         if isinstance(f, SetFunction):
-            from repro.engine import batch, shared_cache
+            from repro.engine import shared_cache
 
-            blocked = shared_cache().blocked_table(
-                self._ground, self._family.members
-            )
-            lattice_tbl = batch.superset_indicator(
-                self._ground.size, self._lhs
-            ) & ~blocked
+            lattice_tbl = shared_cache().lattice_table(self)
             density = f.density()._values
             return not f.backend.any_nonzero_where(density, lattice_tbl, tol)
         for mask, value in f.density_items():

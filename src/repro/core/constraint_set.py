@@ -31,7 +31,9 @@ AnySetFunction = Union[SetFunction, SparseDensityFunction]
 class ConstraintSet:
     """An immutable collection of differential constraints over one ground set."""
 
-    __slots__ = ("_ground", "_constraints", "_bitset_cache", "_all_singleton")
+    __slots__ = (
+        "_ground", "_constraints", "_bitset_cache", "_all_singleton", "_fingerprint"
+    )
 
     def __init__(
         self, ground: GroundSet, constraints: Iterable[DifferentialConstraint] = ()
@@ -47,6 +49,18 @@ class ConstraintSet:
         self._constraints: Tuple[DifferentialConstraint, ...] = tuple(seen)
         self._bitset_cache: Optional[np.ndarray] = None
         self._all_singleton: Optional[bool] = None
+        self._fingerprint: Optional[tuple] = None
+
+    @property
+    def fingerprint(self) -> tuple:
+        """The engine's value-identity key for this set (order-insensitive,
+        equal for equal sets) -- cached: the set is immutable, and the
+        engine decider looks its tables up by it per query."""
+        if self._fingerprint is None:
+            from repro.engine.decider import constraint_set_fingerprint
+
+            self._fingerprint = constraint_set_fingerprint(self)
+        return self._fingerprint
 
     def all_singleton_families(self) -> bool:
         """Whether every member constraint has a one-member family (the

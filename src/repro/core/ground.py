@@ -120,7 +120,8 @@ class GroundSet:
 
         Accepts an iterable of labels, or -- when every element of the
         ground set is a one-character string -- a plain string such as
-        ``"ACD"`` denoting ``{A, C, D}``.  The empty set may be written
+        ``"ACD"`` denoting ``{A, C, D}``.  Longer labels are written
+        comma-separated (``"x0,x1"``).  The empty set may be written
         ``""``, ``"0"`` or the unicode empty-set sign.
         """
         if isinstance(text, int):
@@ -133,6 +134,8 @@ class GroundSet:
                 return self.mask(stripped)
             if stripped in self._index:
                 return self.singleton_mask(stripped)
+            if "," in stripped:
+                return self.mask(part.strip() for part in stripped.split(","))
             raise UnknownElementError(text)
         return self.mask(text)
 

@@ -86,9 +86,10 @@ def lattice_bitset(
 ) -> np.ndarray:
     """``L(X, Y)`` as a boolean numpy table over all ``2^|S|`` masks.
 
-    Computed by the batched engine: a whole-table superset indicator
-    minus the family's upward-closed *blocked* table, ``O(n * 2^n)``
-    bit operations instead of ``2^n`` interpreted membership tests.
+    Computed by the batched engine: the subcube of supersets of ``X``
+    minus each member's sub-subcube, written as strided slices
+    (``O(2^(n-|X|))`` per member) instead of ``2^n`` interpreted
+    membership tests.
     """
     from repro.engine import batch
 

@@ -9,14 +9,27 @@ decomposition::
     D_f^Y(X) = sum_{U in L(X, Y)}  d_f(U)
              = sum_{X subseteq U}  d_f(U) * [no member of Y inside U]
 
-which factors into three whole-table passes, each ``O(n * 2^n)`` or
-cheaper:
+which factors into three whole-table passes:
 
 1. the density table ``d_f`` (one superset Moebius butterfly);
-2. a *blocked* indicator ``B[U] = [some member of Y is a subset of U]``
-   (a subset-zeta over the family's member indicator);
+2. a *blocked* indicator ``B[U] = [some member of Y is a subset of U]``;
 3. zero the density at blocked masks and run one superset zeta
    butterfly -- the result table holds ``D_f^Y(X)`` for **every** ``X``.
+
+Lattice tables are built from the lattice's own shape rather than by
+zeta sweeps.  A ``2^n`` table is an ``n``-axis cube, one axis of length
+2 per element, so the supersets of a mask ``M`` are the *subcube* with
+``M``'s axes fixed at 1 (:func:`subcube`, a strided view of
+``2^(n-|M|)`` entries).  ``[M subseteq U]`` is one strided write into
+that subcube, ``B`` is one write per member, and ``L(X, Y)`` is the
+subcube of ``X`` minus the sub-subcubes of ``X | Y_j`` -- ``O(2^(n-|X|))``
+work per member, with no ``O(n * 2^n)`` pass.  :func:`restrict` and
+:func:`expand` renumber masks onto (and back from) the bits outside
+``X``, so a caller can work on the subcube as a table of its own; the
+renumbering keeps bit order, so the largest local index is the largest
+mask.  No view fixes a bit below :data:`LOW_BITS`: those bits are a
+pattern within whole contiguous runs (:func:`fill`), or stay inside a
+local table, because numpy sweeps short strided runs slowly.
 
 Structural (boolean) tables are always numpy -- they encode subset
 combinatorics, not function values, so exactness is not at stake.
@@ -31,7 +44,8 @@ is anything with ``.members``; a function anything with ``.ground``,
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +59,17 @@ from repro.engine.backends import (
 )
 
 __all__ = [
+    "LOW_BITS",
+    "cube",
+    "subcube",
+    "view_mask",
+    "fill",
+    "restrict",
+    "expand",
     "superset_indicator",
     "blocked_table",
     "lattice_table",
+    "local_lattice",
     "joint_lattice_table",
     "density_table_of",
     "differential_table",
@@ -55,30 +77,148 @@ __all__ = [
 ]
 
 
+#: Bits below this one are never fixed in a strided view.  numpy runs an
+#: elementwise op over a strided view in inner loops as long as the
+#: view's lowest contiguous run, and runs of a few entries cost over 10x
+#: more per entry than a contiguous sweep.  So the low ``LOW_BITS`` bits
+#: of a mask are handled as a pattern over whole runs (:func:`fill`) or
+#: kept inside a local table (:func:`local_lattice`), and every view is
+#: swept in contiguous runs of at least ``2^LOW_BITS`` entries.
+LOW_BITS = 6
+
+
+@lru_cache(maxsize=1 << 14)
+def cube(n: int, mask: int) -> Tuple[Tuple[int, ...], tuple]:
+    """``(shape, index)`` viewing a flat ``2^n`` table as the subcube
+    of supersets of ``mask``.
+
+    Axes run from the top bit down (C order).  Each maximal run of
+    consecutive bits that are all in ``mask`` or all out of it is one
+    axis of length ``2^run``: an in-run is fixed at its all-ones index,
+    an out-run is kept whole, so the cube has at most ``2|mask| + 1``
+    axes.  The trailing ``Ellipsis`` keeps the result a view even when
+    every axis is fixed (``mask`` is the whole ground): a plain integer
+    index would return a 0-d *copy*, and writes to it would be lost.
+    """
+    shape: List[int] = []
+    index: list = []
+    bit = n - 1
+    while bit >= 0:
+        fixed = mask >> bit & 1
+        run = 0
+        while bit >= 0 and (mask >> bit & 1) == fixed:
+            run += 1
+            bit -= 1
+        shape.append(1 << run)
+        index.append((1 << run) - 1 if fixed else slice(None))
+    index.append(Ellipsis)
+    return tuple(shape), tuple(index)
+
+
+def subcube(table: np.ndarray, n: int, mask: int) -> np.ndarray:
+    """The writable view of ``table``'s entries at supersets of ``mask``.
+
+    ``table`` must be a contiguous flat ``2^n`` array.  The view has
+    ``2^(n-|mask|)`` entries, and its flat C-order index is
+    ``U``'s bits outside ``mask`` read in order (see :func:`expand`).
+    """
+    shape, index = cube(n, mask)
+    return table.reshape(shape)[index]
+
+
+def view_mask(mask: int) -> int:
+    """The bits of ``mask`` a view may fix: those at or above
+    :data:`LOW_BITS`."""
+    return mask >> LOW_BITS << LOW_BITS
+
+
+@lru_cache(maxsize=1 << 10)
+def _columns(t: int, low: int, value: bool) -> np.ndarray:
+    """Read-only ``[low subseteq c]`` over ``2^t`` columns (its
+    complement when ``value`` is ``False``)."""
+    pattern = ((np.arange(1 << t) & low) == low) == value
+    pattern.setflags(write=False)
+    return pattern
+
+
+def fill(table: np.ndarray, n: int, mask: int, value: bool) -> None:
+    """Set ``table[U] = value`` at every superset ``U`` of ``mask``.
+
+    The flat ``2^n`` table is taken as rows of ``2^t`` columns, ``t =
+    min(LOW_BITS, n)``: the high bits of ``mask`` pick a strided subcube
+    of whole rows, its low bits a fixed pattern of columns within each.
+    """
+    t = min(LOW_BITS, n)
+    shape, index = cube(n - t, mask >> t)
+    rows = table.reshape(shape + (1 << t,))[index]
+    low = mask & ((1 << t) - 1)
+    if low == 0:
+        rows[...] = value
+    elif value:
+        rows |= _columns(t, low, True)
+    else:
+        rows &= _columns(t, low, False)
+
+
+@lru_cache(maxsize=1 << 14)
+def restrict(n: int, lhs: int, members: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """``(k, local)``: ``members`` renumbered onto the ``k = n - |lhs|``
+    bits outside ``lhs``, the index space of ``subcube(table, n, lhs)``.
+
+    Bits of a member inside ``lhs`` are dropped: on the subcube they
+    are already set, so ``Y_j subseteq U`` only asks about the rest.
+    """
+    high_first = [bit for bit in range(n - 1, -1, -1) if lhs >> bit & 1]
+    local = []
+    for m in members:
+        for bit in high_first:  # squeeze each bit of lhs out, top down
+            m = (m & ((1 << bit) - 1)) | (m >> (bit + 1) << bit)
+        local.append(m)
+    return n - len(high_first), tuple(local)
+
+
+def expand(index: int, n: int, lhs: int) -> int:
+    """The mask at flat ``index`` of ``subcube(table, n, lhs)``: the
+    inverse of :func:`restrict`.  Monotone in ``index``."""
+    for bit in range(n):  # open a gap at each bit of lhs, bottom up
+        if lhs >> bit & 1:
+            index = (index & ((1 << bit) - 1)) | (index >> bit << (bit + 1))
+    return index | lhs
+
+
 def superset_indicator(n: int, lhs_mask: int) -> np.ndarray:
-    """Boolean table ``T[U] = [lhs subseteq U]`` over all ``2^n`` masks."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    return (masks & lhs_mask) == lhs_mask
+    """Boolean table ``T[U] = [lhs subseteq U]`` over all ``2^n`` masks:
+    one write of the subcube above ``lhs``."""
+    table = np.zeros(1 << n, dtype=bool)
+    fill(table, n, lhs_mask, True)
+    return table
 
 
 def blocked_table(n: int, members: Sequence[int]) -> np.ndarray:
-    """Boolean table ``B[U] = [some member is a subset of U]``.
-
-    Computed as a subset-zeta of the member indicator: an upward closure
-    over the subset order, ``O(n * 2^n)`` whole-array bit-ors.
-    """
+    """Boolean table ``B[U] = [some member is a subset of U]``: the
+    union of the members' superset subcubes, one write each."""
     table = np.zeros(1 << n, dtype=bool)
     for m in members:
-        table[m] = True
-    for i in range(n):
-        view = table.reshape(-1, 2, 1 << i)
-        view[:, 1, :] |= view[:, 0, :]
+        fill(table, n, m, True)
     return table
 
 
 def lattice_table(n: int, lhs_mask: int, members: Sequence[int]) -> np.ndarray:
-    """Boolean table of ``L(X, Y)``: supersets of ``X`` blocked by no member."""
-    return superset_indicator(n, lhs_mask) & ~blocked_table(n, members)
+    """Boolean table of ``L(X, Y)``: supersets of ``X`` blocked by no
+    member -- the subcube of ``X`` minus the sub-subcubes of ``X | Y_j``."""
+    table = superset_indicator(n, lhs_mask)
+    for m in members:
+        fill(table, n, lhs_mask | m, False)
+    return table
+
+
+def local_lattice(n: int, lhs_mask: int, members: Sequence[int]) -> np.ndarray:
+    """``L(X, Y)`` on the subcube of ``view_mask(X)``: a flat table in
+    :func:`subcube`'s index order -- ``lattice_table`` without the
+    entries that lack a high bit of ``X`` and are ``False`` anyway."""
+    fixed = view_mask(lhs_mask)
+    k, (lhs_local, *local) = restrict(n, fixed, (lhs_mask, *members))
+    return lattice_table(k, lhs_local, local)
 
 
 def joint_lattice_table(
@@ -86,10 +226,12 @@ def joint_lattice_table(
 ) -> np.ndarray:
     """Boolean table of ``L(C)`` for ``constraints`` given as
     ``(lhs_mask, members)`` pairs -- the union of the per-constraint
-    lattice decompositions (Theorem 3.5's containment target)."""
+    lattice decompositions (Theorem 3.5's containment target), each
+    OR-ed straight into its subcube."""
     out = np.zeros(1 << n, dtype=bool)
     for lhs_mask, members in constraints:
-        out |= lattice_table(n, lhs_mask, members)
+        view = subcube(out, n, view_mask(lhs_mask))
+        view |= local_lattice(n, lhs_mask, members).reshape(view.shape)
     return out
 
 

@@ -3,22 +3,33 @@
 Theorem 3.5 reduces ``C |= X -> Y`` to the containment
 ``L(X, Y) subseteq L(C)``.  The scalar decider walks ``L(X, Y)`` in
 python, testing each mask against every constraint of ``C`` -- ``O(2^n)``
-interpreter iterations per query.  Here both sides become boolean numpy
-tables (:func:`repro.engine.batch.lattice_table`) and containment is one
-whole-table ``any(target & ~covered)``.
+interpreter iterations per query.  Here ``L(C)`` is one boolean numpy
+table, and containment is read on the target's subcube alone:
+``L(X, Y)`` lies inside the supersets of ``X``, a strided view of
+``2^(n-|X|)`` entries (:func:`repro.engine.batch.subcube`; bits of ``X``
+below :data:`repro.engine.batch.LOW_BITS` stay unfixed in the view, so
+it is swept in long contiguous runs).  The query compares that view
+with the target's own lattice on the same subcube -- the subcube with
+the members' sub-subcubes cleared -- and whatever the target holds that
+``L(C)`` lacks is uncovered.
+
+``L(C)`` itself is built the same way: each constraint's lattice is
+OR-ed straight into its own subcube of one table
+(:func:`repro.engine.batch.joint_lattice_table`), ``O(2^(n-|X|))`` per
+member, with no per-constraint full table.
 
 Workloads like the E1/E5 benchmarks and ``cli implies`` / ``mine`` ask
 many queries against the same ``C`` (or against sets sharing most
 constraints), so the tables are memoized in an LRU keyed by structural
 *fingerprints*:
 
-* per-constraint lattice tables keyed by ``(ground, lhs, members)`` --
-  shared between any constraint sets containing an equal constraint;
 * joint ``L(C)`` tables (the atomic closure: ``atom(U) in C*`` iff
   ``U in L(C)``, Remark 4.5) keyed by the set fingerprint;
+* per-constraint ``L(X, Y)`` tables keyed by ``(ground, lhs, members)``:
+  on ``X``'s subcube for the target side of a query, and whole for
+  density-semantics satisfaction checks;
 * family *blocked* tables keyed by ``(ground, members)`` -- reused by
-  the batched differential evaluation and density-semantics
-  satisfaction checks.
+  the batched differential evaluation and the live contexts.
 
 Fingerprints hash by value, not identity, so two equal constraint sets
 built independently (as the CLI does per invocation) hit the same entry.
@@ -51,7 +62,10 @@ def constraint_fingerprint(constraint) -> Tuple:
 
 
 def constraint_set_fingerprint(cset) -> Tuple:
-    """Value-identity key for a constraint set (order-insensitive)."""
+    """Value-identity key for a constraint set (order-insensitive).
+
+    A set that caches its key exposes it as ``cset.fingerprint``; the
+    table caches read that instead of rebuilding it per query."""
     return (
         cset.ground,
         frozenset((c.lhs, c.family.members) for c in cset),
@@ -86,6 +100,16 @@ class _Lru:
         self.hits += 1
         return value
 
+    def memo(self, key: Hashable, build, *args) -> np.ndarray:
+        """The table under ``key``; on a miss ``build(*args)``, frozen
+        read-only (callers share it) and stored."""
+        table = self.get(key)
+        if table is None:
+            table = build(*args)
+            table.setflags(write=False)
+            self.put(key, table)
+        return table
+
     def put(self, key: Hashable, value) -> None:
         if key in self._data:
             self._bytes -= getattr(self._data[key], "nbytes", 0)
@@ -112,76 +136,62 @@ class _Lru:
 class ImplicationCache:
     """Fingerprint-keyed store of lattice / blocked / closure tables."""
 
-    #: Per-table-kind byte budget (64 MB each, 192 MB total worst case).
+    #: Per-table-kind byte budget (64 MB each, 256 MB total worst case).
     DEFAULT_MAX_BYTES = 64 << 20
+    #: The memo families, reported by :meth:`stats` as ``<kind>_tables``.
+    KINDS = ("constraint", "local", "set", "blocked")
 
     def __init__(self, maxsize: int = 512, max_bytes: int = DEFAULT_MAX_BYTES):
-        self._constraint_tables = _Lru(maxsize, max_bytes)
-        self._set_tables = _Lru(maxsize, max_bytes)
-        self._blocked_tables = _Lru(maxsize, max_bytes)
+        self._lrus = {kind: _Lru(maxsize, max_bytes) for kind in self.KINDS}
 
     # -- per-family ----------------------------------------------------
     def blocked_table(self, ground, members: Tuple[int, ...]) -> np.ndarray:
         """Memoized ``blocked_table`` for one witness family (by masks)."""
-        key = (ground, tuple(members))
-        table = self._blocked_tables.get(key)
-        if table is None:
-            table = batch.blocked_table(ground.size, members)
-            table.setflags(write=False)  # shared across callers
-            self._blocked_tables.put(key, table)
-        return table
+        return self._lrus["blocked"].memo(
+            (ground, tuple(members)), batch.blocked_table, ground.size, members
+        )
 
     # -- per-constraint ------------------------------------------------
     def lattice_table(self, constraint) -> np.ndarray:
         """Memoized ``L(X, Y)`` indicator for one constraint."""
-        key = constraint_fingerprint(constraint)
-        table = self._constraint_tables.get(key)
-        if table is None:
-            ground = constraint.ground
-            blocked = self.blocked_table(ground, constraint.family.members)
-            table = batch.superset_indicator(ground.size, constraint.lhs)
-            table &= ~blocked
-            table.setflags(write=False)
-            self._constraint_tables.put(key, table)
-        return table
+        return self._lrus["constraint"].memo(
+            constraint_fingerprint(constraint), batch.lattice_table,
+            constraint.ground.size, constraint.lhs, constraint.family.members,
+        )
+
+    def local_lattice_table(self, constraint) -> np.ndarray:
+        """Memoized ``L(X, Y)`` on ``X``'s subcube only (the flat table
+        of :func:`repro.engine.batch.local_lattice`): the target side of
+        every containment test."""
+        return self._lrus["local"].memo(
+            constraint_fingerprint(constraint), batch.local_lattice,
+            constraint.ground.size, constraint.lhs, constraint.family.members,
+        )
 
     # -- per-set: the atomic closure L(C) ------------------------------
     def joint_lattice_table(self, cset) -> np.ndarray:
         """Memoized ``L(C)`` union indicator for a whole constraint set."""
-        key = constraint_set_fingerprint(cset)
-        table = self._set_tables.get(key)
-        if table is None:
-            table = np.zeros(1 << cset.ground.size, dtype=bool)
-            for c in cset:
-                table |= self.lattice_table(c)
-            table.setflags(write=False)
-            self._set_tables.put(key, table)
-        return table
+        key = getattr(cset, "fingerprint", None) or constraint_set_fingerprint(cset)
+        return self._lrus["set"].memo(key, _build_joint, cset)
 
     # -- bookkeeping ---------------------------------------------------
     def clear(self) -> None:
         """Drop every memoized lattice table."""
-        self._constraint_tables.clear()
-        self._set_tables.clear()
-        self._blocked_tables.clear()
+        for lru in self._lrus.values():
+            lru.clear()
 
     def stats(self) -> dict:
         """Table counts per memo family, for diagnostics and tests."""
-        return {
-            "constraint_tables": len(self._constraint_tables),
-            "set_tables": len(self._set_tables),
-            "blocked_tables": len(self._blocked_tables),
-            "hits": (
-                self._constraint_tables.hits
-                + self._set_tables.hits
-                + self._blocked_tables.hits
-            ),
-            "misses": (
-                self._constraint_tables.misses
-                + self._set_tables.misses
-                + self._blocked_tables.misses
-            ),
-        }
+        out = {f"{kind}_tables": len(lru) for kind, lru in self._lrus.items()}
+        out["hits"] = sum(lru.hits for lru in self._lrus.values())
+        out["misses"] = sum(lru.misses for lru in self._lrus.values())
+        return out
+
+
+def _build_joint(cset) -> np.ndarray:
+    return batch.joint_lattice_table(
+        cset.ground.size, ((c.lhs, c.family.members) for c in cset)
+    )
 
 
 #: Process-wide cache shared by default; CLI invocations and repeated
@@ -199,12 +209,23 @@ def find_uncovered_batched(
 ) -> Optional[int]:
     """Some ``U in L(target) - L(C)`` as a mask, or ``None``.
 
-    Matches the scalar :func:`repro.core.implication.find_uncovered`,
+    Reads ``L(C)`` on the target's subcube above ``X`` only (above its
+    bits from :data:`repro.engine.batch.LOW_BITS` up), against the
+    target's own lattice on that subcube, and maps the last index set
+    in ``L(target) & ~L(C)`` back to a mask.  That mapping keeps bit order,
+    so -- like the scalar :func:`repro.core.implication.find_uncovered`,
     whose superset enumeration walks ``L(target)`` in *descending* mask
-    order -- so the largest uncovered mask is returned.
+    order -- the largest uncovered mask is returned.
     """
     cache = cache or _SHARED
-    target_table = cache.lattice_table(target)
     covered = cache.joint_lattice_table(cset)
-    uncovered = np.flatnonzero(target_table & ~covered)
-    return int(uncovered[-1]) if uncovered.size else None
+    inside = cache.local_lattice_table(target)
+    n, fixed = cset.ground.size, batch.view_mask(target.lhs)
+    view = batch.subcube(covered, n, fixed)
+    uncovered = inside.reshape(view.shape) > view
+    if not uncovered.any():
+        return None
+    # a fresh C-ordered table (a numpy scalar when X = S): flat as a view
+    uncovered = uncovered.reshape(-1)
+    last = uncovered.size - 1 - int(uncovered[::-1].argmax())
+    return batch.expand(last, n, fixed)

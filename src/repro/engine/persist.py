@@ -50,7 +50,7 @@ recovery invariant rather than a hope.
 
 Like the rest of the engine this module imports nothing from
 :mod:`repro.core`; ground sets are duck-typed (``parse`` /
-``format_mask``) and payloads are opaque bytes at the store layer, so
+``format_mask`` / ``elements``) and payloads are opaque bytes at the store layer, so
 other subsystems (the streaming FD checker persists relation *rows*)
 reuse the same log/snapshot machinery with their own codecs.
 """
@@ -63,6 +63,7 @@ import re
 import struct
 import zlib
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -490,10 +491,42 @@ Number = Union[int, float, Fraction]
 
 
 def format_subset(ground, mask: int) -> str:
-    """``mask`` in transaction-log shorthand (``"0"`` for the empty set,
-    which -- unlike ``format_mask``'s ``"(/)"`` -- round-trips through
-    ``ground.parse``)."""
-    return "0" if mask == 0 else ground.format_mask(mask)
+    """``mask`` in transaction-log shorthand, which round-trips through
+    ``ground.parse``: ``"0"`` for the empty set (unlike
+    ``format_mask``'s ``"(/)"``), concatenated labels (``"AC"``) when
+    every label is one character, and comma-separated labels
+    (``"x0,x1"``) otherwise."""
+    if mask == 0:
+        return "0"
+    if not _comma_separated(ground):
+        return ground.format_mask(mask)
+    labels = ground.elements
+    bits = (bit for bit in range(ground.size) if mask >> bit & 1)
+    return ",".join(labels[bit] for bit in bits)
+
+
+@lru_cache(maxsize=64)
+def _comma_separated(ground) -> bool:
+    """Whether ``ground``'s subsets are logged comma-separated (some
+    label is longer than one character).  Raises
+    :class:`PersistenceError` when a label could not be read back from
+    a log line: a non-string, whitespace or ``#`` in it, a comma when
+    labels are comma-separated, or text ``ground.parse`` maps to another
+    subset (a ``"0"`` label reads as the empty set)."""
+    labels = ground.elements
+    comma = not all(isinstance(label, str) and len(label) == 1 for label in labels)
+    for bit, label in enumerate(labels):
+        if (
+            not isinstance(label, str)
+            or not label
+            or any(ch == "#" or ch.isspace() or (comma and ch == ",") for ch in label)
+            or ground.parse(label) != 1 << bit
+        ):
+            raise PersistenceError(
+                f"ground element {label!r} cannot be written to a "
+                "transaction log"
+            )
+    return comma
 
 
 def _format_value(value: Number) -> str:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.engine.incremental import DEFAULT_TOLERANCE, DENSE_LIMIT
@@ -114,25 +115,31 @@ class Planner:
         Returns ``(method, reason)``.  One brain for the whole stack:
         the dense cutoff here is the same :data:`DENSE_LIMIT` the live
         context enforces, so the decider and the live context cannot
-        disagree.
+        disagree.  The answer depends on ``(n, fd_fragment)`` alone, so
+        it is memoized: ``decide(method="auto")`` asks once per query.
         """
-        if fd_fragment:
-            return (
-                "fd",
-                "every family is a singleton: the P-time FD fragment "
-                "(attribute closure)",
-            )
-        if n <= DENSE_LIMIT:
-            return (
-                "engine",
-                f"|S|={n} <= dense limit {DENSE_LIMIT}: batched "
-                "fingerprint-memoized table containment",
-            )
+        return _decide_method(n, bool(fd_fragment))
+
+
+@lru_cache(maxsize=256)
+def _decide_method(n: int, fd_fragment: bool) -> Tuple[str, str]:
+    if fd_fragment:
         return (
-            "sat",
-            f"|S|={n} > dense limit {DENSE_LIMIT}: DPLL refutation "
-            "(Prop 5.4) scales past dense tables",
+            "fd",
+            "every family is a singleton: the P-time FD fragment "
+            "(attribute closure)",
         )
+    if n <= DENSE_LIMIT:
+        return (
+            "engine",
+            f"|S|={n} <= dense limit {DENSE_LIMIT}: batched "
+            "fingerprint-memoized table containment",
+        )
+    return (
+        "sat",
+        f"|S|={n} > dense limit {DENSE_LIMIT}: DPLL refutation "
+        "(Prop 5.4) scales past dense tables",
+    )
 
 
 _DEFAULT_PLANNER = Planner()

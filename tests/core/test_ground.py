@@ -48,6 +48,14 @@ class TestCodec:
         assert s.parse("(/)".replace("(/)", "")) == 0
         assert s.parse(["A", "C"]) == 0b101
 
+    def test_parse_comma_separated_labels(self):
+        s = GroundSet(["x0", "x1", "x2"])
+        assert s.parse("x0,x2") == 0b101
+        assert s.parse(" x1 , x2 ") == 0b110
+        assert s.parse("x1") == 0b010
+        with pytest.raises(UnknownElementError):
+            s.parse("x0,x9")
+
     def test_parse_rejects_unknown(self):
         s = GroundSet("ABCD")
         with pytest.raises(UnknownElementError):

@@ -115,23 +115,41 @@ class TestBatchedDifferential:
         assert forced.allclose(inherit)
 
 
+def _check_blocked_table(ground, rng):
+    for _ in range(40):
+        fam = random_family(rng, ground, max_members=3, allow_empty_member=True)
+        table = blocked_table(ground.size, fam.members)
+        assert table.shape == (1 << ground.size,)
+        for u in ground.all_masks():
+            assert bool(table[u]) == fam.contains_subset_of(u)
+
+
+def _check_lattice_table(ground, rng):
+    for _ in range(40):
+        # |S| = 0 has no nonempty member to draw
+        fam = random_family(
+            rng, ground, max_members=3, allow_empty_member=ground.size == 0
+        )
+        lhs = rng.randrange(1 << ground.size)
+        table = lattice_table(ground.size, lhs, fam.members)
+        assert table.shape == (1 << ground.size,)
+        for u in ground.all_masks():
+            assert bool(table[u]) == in_lattice(lhs, fam, u)
+
+
 class TestLatticeTables:
     def test_blocked_table_matches_family_membership(self, ground_6, rng):
-        for _ in range(40):
-            fam = random_family(
-                rng, ground_6, max_members=3, allow_empty_member=True
-            )
-            table = blocked_table(ground_6.size, fam.members)
-            for u in ground_6.all_masks():
-                assert bool(table[u]) == fam.contains_subset_of(u)
+        _check_blocked_table(ground_6, rng)
 
     def test_lattice_table_matches_closed_form(self, ground_6, rng):
-        for _ in range(40):
-            fam = random_family(rng, ground_6, max_members=3)
-            lhs = rng.randrange(64)
-            table = lattice_table(ground_6.size, lhs, fam.members)
-            for u in ground_6.all_masks():
-                assert bool(table[u]) == in_lattice(lhs, fam, u)
+        _check_lattice_table(ground_6, rng)
+
+    # the degenerate cubes: one axis, or none at all
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tables_on_degenerate_grounds(self, n, rng):
+        ground = GroundSet("A"[:n])
+        _check_blocked_table(ground, rng)
+        _check_lattice_table(ground, rng)
 
 
 class TestEngineDecider:

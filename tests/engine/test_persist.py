@@ -209,6 +209,24 @@ class TestTransactionCodec:
         assert ground.parse(format_subset(ground, 0)) == 0
         assert format_subset(ground, ground.parse("AC")) == "AC"
 
+    def test_multi_character_labels_are_comma_separated(self):
+        ground = GroundSet(["x0", "x1", "x2"])
+        assert format_subset(ground, 0b011) == "x0,x1"
+        assert format_subset(ground, 0b100) == "x2"
+        deltas = [(0b011, 1), (0b111, -2), (0, 1)]
+        payload = encode_transaction(ground, deltas)
+        assert b"+ x0,x1 1" in payload
+        assert decode_transaction(ground, payload) == deltas
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["a b", "c"], ["x,y", "z"], ["ab", "a", "b"], ["0", "x1"], "0AB", "A#B"],
+    )
+    def test_labels_a_log_cannot_read_back_are_refused(self, labels):
+        ground = GroundSet(labels)
+        with pytest.raises(PersistenceError, match="transaction log"):
+            encode_transaction(ground, [(1, 1)])
+
     def test_parse_value_types(self):
         from fractions import Fraction
 
@@ -261,6 +279,20 @@ class TestDurableSession:
         s = make_session(ground, cset, tmp_path)
         s.apply([(ground.parse("AB"), 1), (ground.parse("CD"), 2)])
         s.apply([(0, 3)])
+        expected = state_of(s)
+        s.close()
+        s2 = make_session(ground, cset, tmp_path)
+        assert state_of(s2) == expected
+        s2.close()
+
+    def test_reopen_replays_multi_character_labels(self, tmp_path):
+        ground = GroundSet(["x0", "x1", "x2"])
+        cset = ConstraintSet.of(ground, "x0 -> x1", "x2 -> x0")
+        s = make_session(ground, cset, tmp_path)
+        s.insert(0b011)
+        s.insert(0b101, 2)
+        s.delete(0b011)
+        s.insert(0b111)
         expected = state_of(s)
         s.close()
         s2 = make_session(ground, cset, tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 
 import pytest
 
@@ -463,6 +464,28 @@ class TestServeNetwork:
         code, text = _run(["serve", constraint_file])
         assert code == 2
         assert "--port" in text
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--data-dir", "dd"],
+            ["--snapshot-every", "5"],
+            ["--fsync", "always"],
+            ["--fsync", "never"],
+            ["--ship-to", "standby"],
+        ],
+    )
+    def test_batch_mode_refuses_durability_flags(
+        self, constraint_file, query_file, tmp_path, monkeypatch, flags
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, text = _run(["serve", constraint_file, query_file, *flags])
+        assert code == 2
+        assert f"{flags[0]} only apply to a network service" in text
+        assert "IMPLIED" not in text
+        assert not os.listdir(work)  # no data directory was created
 
     def test_network_mode_serves_and_recovers(self, constraint_file, tmp_path):
         import threading
